@@ -5,6 +5,7 @@ functions, web strands with their tips and critical-line anchors, an
 idealized plane-graph construction, and numerical verification suites.
 """
 
+from .config import DEFAULT, Config
 from .errors import BracketError, ConsistencyError, TipNotFoundError
 from .farey import (Frac, FareyNode, child, enumerate_level, is_farey_neighbor,
                     is_higher, level_and_path, mediant, parents, path_to_real,
@@ -23,6 +24,7 @@ from .verify import Report, TrichotomyResult, run_suite, trichotomy
 __version__ = "0.1.0"
 
 __all__ = [
+    "Config", "DEFAULT",
     "BracketError", "ConsistencyError", "TipNotFoundError",
     "Frac", "FareyNode", "child", "enumerate_level", "is_farey_neighbor",
     "is_higher", "level_and_path", "mediant", "parents", "path_to_real",

@@ -17,9 +17,8 @@ import argparse
 import concurrent.futures
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from .config import Config, load_config
 from .errors import BracketError, ConsistencyError, TipNotFoundError
 from .farey import Frac, child, enumerate_level, level_and_path, parents, path_to_real
 from .lift import SINE, BoundSide, FamilyParams
-from .rotation import lock_status, rot_interval
+from .rotation import _orbit_steps, lock_status, rot_interval
 from .tongue import tip_by_width, trace
 from .web import b_point, tip_by_intersection, trace_strand
 
@@ -64,10 +63,9 @@ def _json_dumps(obj) -> str:
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_rotnum(args, cfg: Config) -> int:
-    params = FamilyParams(args.a, args.b)
-    ri = rot_interval(params, tol=args.tol if args.tol else cfg.rot_tol,
-                      max_iter=cfg.rot_max_iter, snap_qmax=cfg.snap_qmax,
-                      grid=cfg.grid)
+    if args.tol is not None:
+        cfg = replace(cfg, rot_tol=args.tol)
+    ri = rot_interval(FamilyParams(args.a, args.b), cfg)
     doc = {
         "a": args.a,
         "b": args.b,
@@ -85,8 +83,7 @@ def _cmd_rotnum(args, cfg: Config) -> int:
 def _cmd_tongue(args, cfg: Config) -> int:
     frac = Frac.parse(args.frac)
     b_lo, b_hi, n = _parse_range(args.b, "--b")
-    rows = trace(frac, b_lo, b_hi, max(n, 2), xtol=cfg.solver_tol, cap=cfg.q_cap,
-                 grid=cfg.grid)
+    rows = trace(frac, b_lo, b_hi, max(n, 2), cfg)
     buf = io.StringIO()
     buf.write(cfg.header() + "\n")
     buf.write("b,phi2,psi1,psi2,phi1\n")
@@ -99,8 +96,7 @@ def _cmd_tongue(args, cfg: Config) -> int:
 def _cmd_strand(args, cfg: Config) -> int:
     frac = Frac.parse(args.frac)
     b_lo, b_hi, n = _parse_range(args.b, "--b")
-    pts = trace_strand(frac, args.side, b_lo, b_hi, max(n, 2), xtol=cfg.solver_tol,
-                       cap=cfg.q_cap, method=args.method)
+    pts = trace_strand(frac, args.side, b_lo, b_hi, max(n, 2), cfg, method=args.method)
     buf = io.StringIO()
     buf.write(cfg.header() + "\n")
     buf.write("b,a,constraints_verified\n")
@@ -123,14 +119,11 @@ def _tip_doc(tip) -> dict:
 
 def _cmd_tip(args, cfg: Config) -> int:
     frac = Frac.parse(args.frac)
-    kw = dict(b_step=cfg.b_step, b_ceiling=cfg.b_ceiling, btol=cfg.b_tol,
-              xtol=cfg.solver_tol, cap=cfg.q_cap, grid=cfg.grid,
-              full_scan=args.full_scan)
     tips = []
     if args.method in ("width", "both"):
-        tips.append(tip_by_width(frac, **kw))
+        tips.append(tip_by_width(frac, cfg, args.full_scan))
     if args.method in ("intersection", "both"):
-        tips.append(tip_by_intersection(frac, **kw))
+        tips.append(tip_by_intersection(frac, cfg, args.full_scan))
     doc: dict = {"tips": [_tip_doc(t) for t in tips], "config": cfg.as_dict()}
     if len(tips) == 2:
         doc["discrepancy"] = {"da": abs(tips[0].a - tips[1].a),
@@ -141,7 +134,7 @@ def _cmd_tip(args, cfg: Config) -> int:
 
 def _cmd_bpoint(args, cfg: Config) -> int:
     frac = Frac.parse(args.frac)
-    a, b = b_point(frac, xtol=cfg.solver_tol)
+    a, b = b_point(frac, cfg)
     _emit(_json_dumps({"frac": str(frac), "a": a, "b": b,
                        "config": cfg.as_dict()}), args.out)
     return 0
@@ -161,23 +154,20 @@ def _cmd_web(args, cfg: Config) -> int:
         for side in ("L", "R"):
             if (side == "L" and f == Frac(0, 1)) or (side == "R" and f == Frac(1, 1)):
                 continue
-            pts = trace_strand(f, side, b_lo, b_hi, max(n, 2), xtol=cfg.solver_tol,
-                               cap=cfg.q_cap)[: n]
+            pts = trace_strand(f, side, b_lo, b_hi, max(n, 2), cfg)[: n]
             strands[(f, side)] = pts
             for p in pts:
                 buf.write(f"{f.p},{f.q},{side},{p.b!r},{p.a!r},"
                           f"{int(p.constraints_verified)}\n")
     points = {"tips": [], "bpoints": []}
     for f in fracs:
-        a, b = b_point(f, xtol=cfg.solver_tol)
+        a, b = b_point(f, cfg)
         points["bpoints"].append((f, a, b))
         buf.write(f"# bpoint,{f.p},{f.q},{a!r},{b!r}\n")
     for f in fracs:
         if f.is_endpoint:
             continue
-        t = tip_by_intersection(f, b_step=cfg.b_step, b_ceiling=cfg.b_ceiling,
-                                btol=cfg.b_tol, xtol=cfg.solver_tol, cap=cfg.q_cap,
-                                grid=cfg.grid)
+        t = tip_by_intersection(f, cfg)
         points["tips"].append(t)
         buf.write(f"# tip,{f.p},{f.q},{t.a!r},{t.b!r},{t.residual!r}\n")
     _emit(buf.getvalue(), args.out)
@@ -223,40 +213,12 @@ def _cmd_construct(args, cfg: Config) -> int:
     return 0
 
 
-@dataclass
-class Raster:
-    """A sampled parameter-plane rectangle.
-
-    ``values[iy][ix]`` is the cell value at ``(a_vals[ix], b_vals[iy])``:
-    the rotation-interval width (non-negative) in width mode, or lock
-    membership (1 locked, 0.5 uncertain, 0 unlocked) in lock mode.
-    """
-
-    a_range: tuple[float, float, int]
-    b_range: tuple[float, float, int]
-    values: list[list[float]]
-
-    def __post_init__(self):
-        if self.a_range[2] < 1 or self.b_range[2] < 1:
-            raise ValueError("raster needs at least one cell per axis")
-        if len(self.values) != self.b_range[2]:
-            raise ValueError("row count does not match the b resolution")
-
-    @property
-    def a_vals(self) -> list[float]:
-        return _grid(*self.a_range)
-
-    @property
-    def b_vals(self) -> list[float]:
-        return _grid(*self.b_range)
-
-
 def _scan_row(job) -> list[float]:
     """One raster row; module-level so process pools can pickle it."""
-    mode, frac_txt, b, a_lo, a_hi, nx, tol, max_iter, grid, q_cap = job
+    mode, frac_txt, b, a_lo, a_hi, nx, num = job
     a_vals = np.array(_grid(a_lo, a_hi, nx))
     if mode == "width":
-        n = max(1, min(max_iter, math.ceil(2.0 / tol)))
+        n = _orbit_steps(num.scan_tol, num.rot_max_iter)
         lows = np.empty(nx)
         ups = np.empty(nx)
         for i, a in enumerate(a_vals):
@@ -267,7 +229,7 @@ def _scan_row(job) -> list[float]:
     frac = Frac.parse(frac_txt)
     out = []
     for a in a_vals:
-        st = lock_status(FamilyParams(float(a), b), frac, grid=grid, cap=q_cap)
+        st = lock_status(FamilyParams(float(a), b), frac, num=num)
         out.append({"locked": 1.0, "uncertain": 0.5, "not_locked": 0.0}[st.state])
     return out
 
@@ -281,25 +243,25 @@ def _cmd_scan(args, cfg: Config) -> int:
     if mode == "lock" and not frac_txt:
         raise ValueError("lock mode needs a fraction: lock:p/q")
     b_vals = _grid(b_lo, b_hi, ny)
-    jobs = [(mode, frac_txt, b, a_lo, a_hi, nx, cfg.scan_tol, cfg.rot_max_iter,
-             cfg.scan_grid, cfg.q_cap) for b in b_vals]
+    # raster cells run on the cheaper displacement grid
+    cell = replace(cfg, grid_base=cfg.scan_grid_base, grid_per_q=cfg.scan_grid_per_q)
+    jobs = [(mode, frac_txt, b, a_lo, a_hi, nx, cell) for b in b_vals]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_scan_row, jobs))
     else:
         rows = [_scan_row(j) for j in jobs]
-    raster = Raster((a_lo, a_hi, nx), (b_lo, b_hi, ny), rows)
     if args.format == "csv":
         buf = io.StringIO()
         buf.write(cfg.header() + "\n")
         buf.write("a,b,value\n")
-        a_vals = raster.a_vals
-        for b, row in zip(raster.b_vals, raster.values):
+        a_vals = _grid(a_lo, a_hi, nx)
+        for b, row in zip(b_vals, rows):
             for a, v in zip(a_vals, row):
                 buf.write(f"{a!r},{b!r},{v!r}\n")
         _emit(buf.getvalue(), args.out)
     else:
-        data = np.array(raster.values)
+        data = np.array(rows)
         if mode == "width":
             vmax = float(data.max())
             scale = vmax if vmax > 0 else 1.0
@@ -323,7 +285,7 @@ def _cmd_verify(args, cfg: Config) -> int:
         if not value:
             raise ValueError(f"bad suite parameter {item!r}")
         params[key] = _parse_param(value)
-    report = verify.run_suite(args.suite, **params)
+    report = verify.run_suite(args.suite, cfg, **params)
     if args.json:
         doc = report.to_dict()
         doc["config"] = cfg.as_dict()
@@ -386,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rotnum", help="rotation interval at one parameter point")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="enclosure width; overrides rot_tol and is echoed as such")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_rotnum)
 

@@ -1,8 +1,10 @@
-"""Runtime configuration: tolerances, caps, grid densities, parallelism.
+"""Runtime configuration: the one numerics context of the library.
 
-A config file is flat ``key=value`` lines (``#`` comments allowed); command
-line ``--set key=value`` overrides win over the file, which wins over the
-defaults below.  The effective configuration is echoed into every output
+A ``Config`` is frozen and hashable, so the numerics functions take it as one
+``num`` argument and the tip caches key on it; ``DEFAULT`` holds every library
+default.  A config file is flat ``key=value`` lines (``#`` comments allowed);
+command line ``--set key=value`` overrides win over the file, which wins over
+the defaults below.  The effective configuration is echoed into every output
 header so a result file alone reproduces its run.
 """
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     rot_tol: float = 1e-6        # rotation-number enclosure target width
     rot_max_iter: int = 10_000_000
@@ -33,26 +35,14 @@ class Config:
         for name in ("rot_tol", "scan_tol", "solver_tol", "b_tol", "b_step"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.q_cap < 1:
-            raise ValueError("q_cap must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        for name in ("rot_max_iter", "q_cap", "grid_base", "grid_per_q", "scan_grid_base",
+                     "scan_grid_per_q", "snap_qmax", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     @property
     def grid(self) -> tuple[int, int]:
         return (self.grid_base, self.grid_per_q)
-
-    @property
-    def scan_grid(self) -> tuple[int, int]:
-        return (self.scan_grid_base, self.scan_grid_per_q)
-
-    def apply(self, key: str, value: str) -> None:
-        for f in fields(self):
-            if f.name == key:
-                setattr(self, key, _cast(f.type, value))
-                self.__post_init__()
-                return
-        raise KeyError(f"unknown config key {key!r}")
 
     def header(self) -> str:
         parts = " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -62,18 +52,12 @@ class Config:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _cast(type_name, value: str):
-    # dataclass field types arrive as strings under `from __future__ import annotations`
-    name = type_name if isinstance(type_name, str) else type_name.__name__
-    if name == "int":
-        return int(value)
-    if name == "float":
-        return float(value)
-    return value
+#: The library defaults; every ``num`` argument falls back to this.
+DEFAULT = Config()
 
 
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> Config:
-    cfg = Config()
+    items = []
     if path is not None:
         for raw in Path(path).read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -82,10 +66,17 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
             key, _, value = line.partition("=")
             if not value:
                 raise ValueError(f"bad config line {raw!r}; expected key=value")
-            cfg.apply(key.strip(), value.strip())
+            items.append((key.strip(), value.strip()))
     for item in overrides or []:
         key, _, value = item.partition("=")
         if not value:
             raise ValueError(f"bad override {item!r}; expected key=value")
-        cfg.apply(key.strip(), value.strip())
-    return cfg
+        items.append((key.strip(), value.strip()))
+    # field types arrive as strings under `from __future__ import annotations`
+    casts = {f.name: {"int": int, "float": float}[f.type] for f in fields(Config)}
+    values = {}
+    for key, value in items:
+        if key not in casts:
+            raise KeyError(f"unknown config key {key!r}")
+        values[key] = casts[key](value)
+    return Config(**values)

@@ -167,9 +167,7 @@ def from_json(text: str) -> IdealWeb:
     return web
 
 
-def to_svg(web: IdealWeb, *, stroke: float = 0.002, seed_color: str = "#444444",
-           dogleg_color: str = "#1060c0", vertex_radius: float = 0.004,
-           draw_vertices: bool = True) -> str:
+def to_svg(web: IdealWeb) -> str:
     """Deterministic SVG: one line for the seed, one 3-point polyline per dogleg."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -181,7 +179,7 @@ def to_svg(web: IdealWeb, *, stroke: float = 0.002, seed_color: str = "#444444",
     lines.append(
         f'<line class="seed" x1="{_fmt(vt0.x)}" y1="{_fmt(1 - vt0.y)}" '
         f'x2="{_fmt(vb1.x)}" y2="{_fmt(1 - vb1.y)}" '
-        f'stroke="{seed_color}" stroke-width="{_fmt(stroke)}"/>')
+        f'stroke="#444444" stroke-width="0.002"/>')
     for d in web.doglegs:
         pu = web.vertex("T", d.upper)
         pv = web.vertex("T", d.via)
@@ -189,20 +187,17 @@ def to_svg(web: IdealWeb, *, stroke: float = 0.002, seed_color: str = "#444444",
         pts = " ".join(f"{_fmt(p.x)},{_fmt(1 - p.y)}" for p in (pu, pv, pl))
         lines.append(
             f'<polyline class="dogleg" points="{pts}" fill="none" '
-            f'stroke="{dogleg_color}" stroke-width="{_fmt(stroke)}"/>')
-    if draw_vertices:
-        for v in web.vertices:
-            color = "#c02020" if v.kind == "T" else "#202020"
-            lines.append(
-                f'<circle cx="{_fmt(v.x)}" cy="{_fmt(1 - v.y)}" '
-                f'r="{_fmt(vertex_radius)}" fill="{color}"/>')
+            f'stroke="#1060c0" stroke-width="0.002"/>')
+    for v in web.vertices:
+        color = "#c02020" if v.kind == "T" else "#202020"
+        lines.append(f'<circle cx="{_fmt(v.x)}" cy="{_fmt(1 - v.y)}" r="0.004" fill="{color}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def render(web: IdealWeb, fmt: str, **style) -> str:
+def render(web: IdealWeb, fmt: str) -> str:
     if fmt == "svg":
-        return to_svg(web, **style)
+        return to_svg(web)
     if fmt == "json":
         return to_json(web)
     raise ValueError(f"format must be 'svg' or 'json', got {fmt!r}")

@@ -207,15 +207,13 @@ def path_to_real(omega, depth: int) -> list[Frac]:
     return out
 
 
-def simplest_in_interval(lo: float, hi: float, qmax: int | None = None) -> Frac | None:
+def simplest_in_interval(lo: float, hi: float, qmax: int) -> Frac | None:
     """Fraction of smallest denominator <= qmax in [lo, hi] cap [0, 1], or None.
 
     Found by walking the tree; the walk visits denominators in increasing
     order inside the interval, so the first hit is the simplest.  When both
     endpoints qualify (interval covering [0, 1]) the smaller value 0/1 wins.
     """
-    if qmax is None:
-        qmax = DENOMINATOR_LIMIT
     if lo > hi:
         return None
     a, b = max(lo, 0.0), min(hi, 1.0)

@@ -89,15 +89,13 @@ def _sine_landmarks(b: float) -> Landmarks:
 class SineFamily:
     """x + a + (b / 2 pi) sin(2 pi x).
 
-    Solvers elsewhere rely only on this interface: degree-one ``eval``
+    The solvers use the shared instance ``SINE`` through degree-one ``eval``
     (accepting floats or numpy arrays), analytic ``derivative`` up to order 3,
     ``b_critical``, per-b ``landmarks``, plateau-truncated ``bound_eval``, and
-    the ``iterate``/``iterate_array`` compositions.  A drop-in family with the
-    same surface and a translation parameter a works unchanged.
+    the ``iterate``/``iterate_array`` compositions.
     """
 
     b_critical = 1.0
-    name = "sine"
 
     def eval(self, params: FamilyParams, x):
         sin = np.sin if isinstance(x, np.ndarray) else math.sin

@@ -16,18 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT, Config
 from .farey import Frac, simplest_in_interval
 from .lift import SINE, BoundSide, FamilyParams
 from .solvers import golden_max, golden_min
 
-#: Largest cycle length probed by displacement scans.
-DEFAULT_Q_CAP = 64
-
-#: Displacement grids carry grid[0] + grid[1] * q samples per period.
-DEFAULT_GRID = (4096, 512)
-
-#: Snapping searches rationals with denominator up to this.
-DEFAULT_SNAP_QMAX = 128
+#: lock_status reports displacement extrema within this of zero as uncertain.
+LOCK_BAND = 1e-11
 
 
 @dataclass(frozen=True)
@@ -51,8 +46,8 @@ class Enclosure:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, v: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= v <= self.hi + slack
+    def contains(self, v: float) -> bool:
+        return self.lo <= v <= self.hi
 
 
 @dataclass(frozen=True)
@@ -84,28 +79,28 @@ class Extrema:
     argmax: float
 
 
-def rho_monotone(map_fn, x0: float = 0.0, tol: float = 1e-6,
-                 max_iter: int = 10_000_000, check: bool = True) -> Enclosure:
+def _orbit_steps(tol: float, max_iter: int) -> int:
+    """Orbit length of an enclosure of width ``tol``: 2/tol, capped at ``max_iter``."""
+    return min(max_iter, math.ceil(2.0 / tol))
+
+
+def rho_monotone(map_fn, num: Config = DEFAULT) -> Enclosure:
     """Enclosure of the rotation number of a non-decreasing degree-one lift.
 
-    ``map_fn`` is a scalar callable.  Iteration count is 2/tol capped at
-    ``max_iter``; when the cap binds the returned enclosure is simply wider.
-    With ``check`` a coarse sample verifies monotonicity and the degree-one
-    identity before any long iteration is spent.
+    ``map_fn`` is a scalar callable, iterated from 0.  Iteration count is
+    2/rot_tol capped at ``rot_max_iter``; when the cap binds the returned
+    enclosure is simply wider.  A coarse sample first verifies monotonicity and
+    the degree-one identity before any long iteration is spent.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if check:
-        xs = [i / 64.0 for i in range(65)]
-        vals = [map_fn(x) for x in xs]
-        for i in range(64):
-            if vals[i + 1] < vals[i] - 1e-12:
-                raise ValueError(f"map is not non-decreasing near x={xs[i]}")
-        if abs(map_fn(x0 + 1.0) - (map_fn(x0) + 1.0)) > 1e-9:
-            raise ValueError("map does not satisfy the degree-one identity")
-    n = max(1, min(max_iter, math.ceil(2.0 / tol)))
-    t = x0 - math.floor(x0)
-    carry = x0 - t
+    xs = [i / 64.0 for i in range(65)]
+    vals = [map_fn(x) for x in xs]
+    for i in range(64):
+        if vals[i + 1] < vals[i] - 1e-12:
+            raise ValueError(f"map is not non-decreasing near x={xs[i]}")
+    if abs(map_fn(1.0) - (map_fn(0.0) + 1.0)) > 1e-9:
+        raise ValueError("map does not satisfy the degree-one identity")
+    n = _orbit_steps(num.rot_tol, num.rot_max_iter)
+    t = carry = 0.0
     for _ in range(n):
         v = map_fn(t)
         f = math.floor(v)
@@ -114,86 +109,89 @@ def rho_monotone(map_fn, x0: float = 0.0, tol: float = 1e-6,
         if t >= 1.0:
             t -= 1.0
             carry += 1.0
-    d = (carry + t) - x0
+    d = carry + t
     return Enclosure((d - 1.0) / n, (d + 1.0) / n, n)
 
 
-def _rho_family(params: FamilyParams, side: BoundSide, tol: float,
-                max_iter: int, family, x0: float = 0.0) -> Enclosure:
-    n = max(1, min(max_iter, math.ceil(2.0 / tol)))
-    d = family.iterate(params, side, x0, n) - x0
-    return Enclosure((d - 1.0) / n, (d + 1.0) / n, n)
-
-
-def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
-                   mode: str, family, grid: tuple[int, int],
-                   xtol: float) -> tuple[float, float]:
-    """(value, x) of the min or max of F^q(x) - x - p, grid scan plus refinement."""
+def _disp_grid(params: FamilyParams, side: BoundSide, p: int, q: int, family,
+               grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Grid xs over one period and the displacement g = F^q(xs) - xs - p on it."""
     n = grid[0] + grid[1] * q
     xs = np.arange(n) / n
     ys = xs.copy()
     for _ in range(q):
         ys = family.bound_eval(params, side, ys)
-    g = ys - xs - p
-    h = 1.0 / n
+    return xs, ys - xs - p
+
+
+def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
+                   mode: str, family, grid: tuple[int, int], xtol: float):
+    """Extrema of F^q(x) - x - p from one grid pass, refined inside the best cell.
+
+    ``mode`` "min" or "max" returns (value, x) of that extremum; "both" returns
+    the ``Extrema`` of both, refined from the same grid.
+    """
+    xs, g = _disp_grid(params, side, p, q, family, grid)
+    h = 1.0 / len(xs)
 
     def scalar(x: float) -> float:
         return family.iterate(params, side, x, q) - x - p
 
-    if mode == "min":
-        i = int(np.argmin(g))
-        x_ref, v_ref = golden_min(scalar, xs[i] - h, xs[i] + h, xtol)
-        if g[i] < v_ref:
-            return float(g[i]), float(xs[i])
-    else:
-        i = int(np.argmax(g))
-        x_ref, v_ref = golden_max(scalar, xs[i] - h, xs[i] + h, xtol)
-        if g[i] > v_ref:
-            return float(g[i]), float(xs[i])
-    return v_ref, x_ref % 1.0
+    def refine(which: str) -> tuple[float, float]:
+        if which == "min":
+            i = int(np.argmin(g))
+            x_ref, v_ref = golden_min(scalar, xs[i] - h, xs[i] + h, xtol)
+            on_grid = g[i] < v_ref
+        else:
+            i = int(np.argmax(g))
+            x_ref, v_ref = golden_max(scalar, xs[i] - h, xs[i] + h, xtol)
+            on_grid = g[i] > v_ref
+        return (float(g[i]), float(xs[i])) if on_grid else (v_ref, x_ref % 1.0)
+
+    if mode == "both":
+        return Extrema(*refine("min"), *refine("max"))
+    return refine(mode)
+
+
+def _check_cap(frac: Frac, num: Config) -> None:
+    if frac.q > num.q_cap:
+        raise ValueError(f"denominator {frac.q} exceeds cap {num.q_cap}")
 
 
 def displacement_extrema(params: FamilyParams, side: BoundSide, frac: Frac,
-                         offset: int = 0, *, family=SINE, cap: int = DEFAULT_Q_CAP,
-                         grid: tuple[int, int] = DEFAULT_GRID,
-                         xtol: float = 1e-13) -> Extrema:
+                         offset: int = 0, num: Config = DEFAULT) -> Extrema:
     """Extrema over one period of F^q(x) - x - (p + offset*q) for the selected map.
 
     ``offset`` translates the target rational by an integer, covering rotation
     numbers outside [0, 1].
     """
-    if frac.q > cap:
-        raise ValueError(f"denominator {frac.q} exceeds cap {cap}")
+    _check_cap(frac, num)
     p = frac.p + offset * frac.q
-    mn, amn = _disp_extremum(params, side, p, frac.q, "min", family, grid, xtol)
-    mx, amx = _disp_extremum(params, side, p, frac.q, "max", family, grid, xtol)
-    return Extrema(mn, amn, mx, amx)
+    return _disp_extremum(params, side, p, frac.q, "both", SINE, num.grid, 1e-13)
 
 
-def lock_status(params: FamilyParams, frac: Frac, offset: int = 0, *,
-                tol: float = 1e-11, family=SINE, cap: int = DEFAULT_Q_CAP,
-                grid: tuple[int, int] = DEFAULT_GRID) -> LockStatus:
+def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
+                num: Config = DEFAULT) -> LockStatus:
     """Exact-rational lock test by displacement signs.
 
     Locked means the lower bound still reaches x + p somewhere (its max
     displacement is >= 0) while the upper bound still dips to x + p (its min
-    is <= 0); ties at zero count as locked.  Verdicts inside the tolerance
-    band are reported as uncertain.
+    is <= 0); ties at zero count as locked.  Verdicts inside the band
+    ``LOCK_BAND`` around zero are reported as uncertain.
     """
-    if frac.q > cap:
-        raise ValueError(f"denominator {frac.q} exceeds cap {cap}")
+    _check_cap(frac, num)
     p = frac.p + offset * frac.q
-    max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", family, grid, 1e-13)
-    min_up, _ = _disp_extremum(params, BoundSide.UPPER, p, frac.q, "min", family, grid, 1e-13)
-    if max_low >= tol and min_up <= -tol:
+    max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", SINE, num.grid, 1e-13)
+    min_up, _ = _disp_extremum(params, BoundSide.UPPER, p, frac.q, "min", SINE, num.grid, 1e-13)
+    if max_low >= LOCK_BAND and min_up <= -LOCK_BAND:
         return LockStatus("locked", frac)
-    if max_low <= -tol or min_up >= tol:
+    if max_low <= -LOCK_BAND or min_up >= LOCK_BAND:
         return LockStatus("not_locked")
     return LockStatus("uncertain", frac)
 
 
-def _try_snap(enc: Enclosure, params: FamilyParams, side: BoundSide, family,
-              snap_qmax: int, grid: tuple[int, int]) -> tuple[int, int] | None:
+def _try_snap(enc: Enclosure, params: FamilyParams, side: BoundSide,
+              num: Config) -> tuple[int, int] | None:
     """Exact rational for an enclosure, or None.
 
     Requires a unique simplest rational inside the enclosure and a strict
@@ -203,40 +201,42 @@ def _try_snap(enc: Enclosure, params: FamilyParams, side: BoundSide, family,
     k0 = math.floor(enc.lo)
     candidates: set[tuple[int, int]] = set()
     for k in (k0, k0 + 1):
-        c = simplest_in_interval(enc.lo - k, enc.hi - k, qmax=snap_qmax)
+        c = simplest_in_interval(enc.lo - k, enc.hi - k, qmax=num.snap_qmax)
         if c is not None:
             candidates.add((c.p + k * c.q, c.q))
     if len(candidates) != 1:
         return None
-    num, den = candidates.pop()
-    mn, _ = _disp_extremum(params, side, num, den, "min", family, grid, 1e-13)
-    mx, _ = _disp_extremum(params, side, num, den, "max", family, grid, 1e-13)
+    p, q = candidates.pop()
+    ext = _disp_extremum(params, side, p, q, "both", SINE, num.grid, 1e-13)
     margin = 1e-12
-    if mn <= -margin and mx >= margin:
-        return num, den
+    if ext.minimum <= -margin and ext.maximum >= margin:
+        return p, q
     return None
 
 
-def rot_interval(params: FamilyParams, tol: float = 1e-6, *, family=SINE,
-                 max_iter: int = 10_000_000, snap: bool = True,
-                 snap_qmax: int = DEFAULT_SNAP_QMAX,
-                 grid: tuple[int, int] = DEFAULT_GRID) -> RotationInterval:
-    """Rotation interval [rho(lower bound), rho(upper bound)] of the family map."""
+def rot_interval(params: FamilyParams, num: Config = DEFAULT, *,
+                 snap: bool = True) -> RotationInterval:
+    """Rotation interval [rho(lower bound), rho(upper bound)] of the family map.
+
+    Each endpoint is enclosed by one orbit of 2/rot_tol steps (capped at
+    ``rot_max_iter``) from 0.
+    """
+    n = _orbit_steps(num.rot_tol, num.rot_max_iter)
     sides = {}
     for side in (BoundSide.LOWER, BoundSide.UPPER):
-        enc = _rho_family(params, side, tol, max_iter, family)
+        d = SINE.iterate(params, side, 0.0, n)
+        enc = Enclosure((d - 1.0) / n, (d + 1.0) / n, n)
         if snap:
-            hit = _try_snap(enc, params, side, family, snap_qmax, grid)
+            hit = _try_snap(enc, params, side, num)
             if hit is not None:
-                num, den = hit
-                v = num / den
-                enc = Enclosure(v, v, enc.iterations, exact=(num, den))
+                p, q = hit
+                v = p / q
+                enc = Enclosure(v, v, enc.iterations, exact=(p, q))
         sides[side] = enc
     return RotationInterval(sides[BoundSide.LOWER], sides[BoundSide.UPPER])
 
 
-def orbit_averages(params: FamilyParams, starts: np.ndarray, n: int, *,
-                   family=SINE) -> np.ndarray:
+def orbit_averages(params: FamilyParams, starts: np.ndarray, n: int) -> np.ndarray:
     """Finite-orbit displacement averages (F^n(x) - x)/n for a batch of starts."""
-    finals = family.iterate_array(params, BoundSide.RAW, np.asarray(starts, dtype=float), n)
+    finals = SINE.iterate_array(params, BoundSide.RAW, np.asarray(starts, dtype=float), n)
     return (finals - starts) / n

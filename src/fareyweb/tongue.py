@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 import warnings
 
+from .config import DEFAULT, Config
 from .errors import ConsistencyError, TipNotFoundError
 from .farey import Frac
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
-from .rotation import DEFAULT_GRID, DEFAULT_Q_CAP, _disp_extremum
+from .rotation import _check_cap, _disp_extremum
 from .solvers import bisect_root
 
 #: objective -> (map side, which extremum of the displacement must vanish)
@@ -78,9 +79,7 @@ def _default_bracket(frac: Frac, b: float) -> tuple[float, float]:
     return v - r, v + r
 
 
-def boundary(kind: str, frac: Frac, b: float, *, xtol: float = 1e-12,
-             family=SINE, cap: int = DEFAULT_Q_CAP,
-             grid: tuple[int, int] = DEFAULT_GRID,
+def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT, *,
              bracket: tuple[float, float] | None = None) -> float:
     """The unique a at which the selected displacement extremum vanishes.
 
@@ -89,83 +88,117 @@ def boundary(kind: str, frac: Frac, b: float, *, xtol: float = 1e-12,
     """
     if kind not in _OBJECTIVES:
         raise ValueError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
-    if frac.q > cap:
-        raise ValueError(f"denominator {frac.q} exceeds cap {cap}")
+    _check_cap(frac, num)
     side, which = _OBJECTIVES[kind]
-    p, q = frac.p, frac.q
+    p, q, grid = frac.p, frac.q, num.grid
 
     def objective(a: float) -> float:
-        return _disp_extremum(FamilyParams(a, b), side, p, q, which, family, grid, 1e-13)[0]
+        return _disp_extremum(FamilyParams(a, b), side, p, q, which, SINE, grid, 1e-13)[0]
 
     if bracket is not None:
         lo, hi = bracket
         f_lo, f_hi = objective(lo), objective(hi)
         if f_lo <= 0.0 <= f_hi:
-            return bisect_root(objective, lo, hi, xtol, f_lo=f_lo, f_hi=f_hi)
+            return bisect_root(objective, lo, hi, num.solver_tol, f_lo=f_lo, f_hi=f_hi)
     lo, hi = _default_bracket(frac, b)
-    return bisect_root(objective, lo, hi, xtol)
+    return bisect_root(objective, lo, hi, num.solver_tol)
 
 
-def section(frac: Frac, b: float, *, xtol: float = 1e-12, family=SINE,
-            cap: int = DEFAULT_Q_CAP, grid: tuple[int, int] = DEFAULT_GRID,
-            order_tol: float = 1e-8) -> TongueSection:
-    """All four boundaries at b, with the required orderings checked.
+def section(frac: Frac, b: float, num: Config = DEFAULT) -> TongueSection:
+    """All four boundaries at b, with the required orderings checked to 1e-8.
 
     psi1 > psi2 is legal (empty locking interval above the tip); only
     phi2 <= phi1, phi2 <= psi1, psi2 <= phi1 are enforced.
     """
-    vals = {k: boundary(k, frac, b, xtol=xtol, family=family, cap=cap, grid=grid)
-            for k in BOUNDARY_KINDS}
+    vals = {k: boundary(k, frac, b, num) for k in BOUNDARY_KINDS}
     sec = TongueSection(frac, b, vals["phi2"], vals["psi1"], vals["psi2"], vals["phi1"])
-    if (sec.phi2 > sec.phi1 + order_tol or sec.phi2 > sec.psi1 + order_tol
-            or sec.psi2 > sec.phi1 + order_tol):
+    if (sec.phi2 > sec.phi1 + 1e-8 or sec.phi2 > sec.psi1 + 1e-8
+            or sec.psi2 > sec.phi1 + 1e-8):
         raise ConsistencyError(f"boundary ordering violated at {frac}, b={b}: {vals}")
     return sec
 
 
-def locking_interval(frac: Frac, b: float, **kw) -> tuple[float, float] | None:
+def locking_interval(frac: Frac, b: float,
+                     num: Config = DEFAULT) -> tuple[float, float] | None:
     """[psi1, psi2] when non-empty, else None."""
-    sec = section(frac, b, **kw)
+    sec = section(frac, b, num)
     if sec.psi1 <= sec.psi2:
         return sec.psi1, sec.psi2
     return None
 
 
-def trace(frac: Frac, b_lo: float, b_hi: float, steps: int, *,
-          continuity_budget: float | None = None, **kw) -> list[TongueSection]:
-    """Sections at uniformly spaced b; adjacent jumps above budget are warned.
+def _sweep(sample, coords, b_lo: float, b_hi: float, steps: int, floor: float,
+           budget: float | None = None) -> list:
+    """``sample(b)`` at ``steps`` uniformly spaced b; adjacent jumps above budget are warned.
 
-    The default budget scales with the step so that the boundaries' regular
-    drift in b never trips it; only step-disproportionate jumps are flagged.
+    ``coords(point)`` lists the (label, value) pairs compared between
+    neighbouring samples.  The default budget scales with the step, never
+    below ``floor``, so that regular drift in b never trips it; only
+    step-disproportionate jumps are flagged.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if b_lo > b_hi:
-        raise ValueError("b_lo must not exceed b_hi")
-    if continuity_budget is None:
-        continuity_budget = max(0.02, 2.0 * (b_hi - b_lo) / (steps - 1))
-    out = []
-    for i in range(steps):
-        b = b_lo + (b_hi - b_lo) * i / (steps - 1)
-        out.append(section(frac, b, **kw))
+    if budget is None:
+        budget = max(floor, 2.0 * (b_hi - b_lo) / (steps - 1))
+    out = [sample(b_lo + (b_hi - b_lo) * i / (steps - 1)) for i in range(steps)]
     for prev, cur in zip(out, out[1:]):
-        for name in BOUNDARY_KINDS:
-            jump = abs(getattr(cur, name) - getattr(prev, name))
-            if jump > continuity_budget:
-                warnings.warn(
-                    f"{name} of {frac} jumps by {jump:.3g} between b={prev.b} and b={cur.b}",
-                    RuntimeWarning, stacklevel=2)
+        for (label, v_prev), (_, v_cur) in zip(coords(prev), coords(cur)):
+            jump = abs(v_cur - v_prev)
+            if jump > budget:
+                warnings.warn(f"{label} jumps by {jump:.3g} between b={prev.b} and b={cur.b}",
+                              RuntimeWarning, stacklevel=3)
     return out
 
 
+def trace(frac: Frac, b_lo: float, b_hi: float, steps: int, num: Config = DEFAULT, *,
+          continuity_budget: float | None = None) -> list[TongueSection]:
+    """Sections at uniformly spaced b; adjacent jumps above budget are warned."""
+    if b_lo > b_hi:
+        raise ValueError("b_lo must not exceed b_hi")
+    return _sweep(lambda b: section(frac, b, num),
+                  lambda sec: [(f"{name} of {frac}", getattr(sec, name))
+                               for name in BOUNDARY_KINDS],
+                  b_lo, b_hi, steps, 0.02, continuity_budget)
+
+
+def _first_crossing(f, num: Config, full_scan: bool, what: str) -> tuple[float, tuple[float, ...]]:
+    """Lowest b above the critical line where f turns from negative to non-negative.
+
+    Coarse upward scan in steps of ``b_step`` to the first sign change, then
+    bisection to ``b_tol``.  Returns that b and, with ``full_scan``, the
+    midpoints of the further sign changes seen while scanning on to the
+    ceiling.  f is evaluated strictly in scan order, so a stateful f (one
+    keeping bracket hints) sees the same sequence of heights on every run.
+    """
+    b_prev = SINE.b_critical
+    f_prev = f(b_prev)
+    if f_prev > 0.0:
+        raise ConsistencyError(f"{what}: wrong sign on the critical line")
+    b_lo = b_hi = None
+    extras: list[float] = []
+    b = b_prev
+    while b < num.b_ceiling:
+        b = min(b + num.b_step, num.b_ceiling)
+        f_b = f(b)
+        if f_prev < 0.0 <= f_b or f_prev <= 0.0 < f_b:
+            if b_lo is None:
+                b_lo, b_hi = b_prev, b
+                if not full_scan:
+                    break
+            else:
+                extras.append(0.5 * (b_prev + b))
+        elif b_lo is not None and (f_prev > 0.0 >= f_b or f_prev >= 0.0 > f_b):
+            extras.append(0.5 * (b_prev + b))
+        b_prev, f_prev = b, f_b
+    if b_lo is None:
+        raise TipNotFoundError(f"{what}: no sign change below b={num.b_ceiling}")
+    return bisect_root(f, b_lo, b_hi, num.b_tol), tuple(extras)
+
+
 @lru_cache(maxsize=256)
-def tip_by_width(frac: Frac, *, b_step: float = 0.01, b_ceiling: float = 4.0,
-                 btol: float = 1e-10, xtol: float = 1e-12, family=SINE,
-                 cap: int = DEFAULT_Q_CAP, grid: tuple[int, int] = DEFAULT_GRID,
-                 full_scan: bool = False) -> Tip:
+def tip_by_width(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> Tip:
     """Lowest b above the critical line where the locking width reaches zero.
 
-    Coarse upward scan to the first sign change of the width, then bisection.
     ``full_scan`` keeps scanning to the ceiling and records any further sign
     changes (a connected principal component has none).
     """
@@ -173,40 +206,16 @@ def tip_by_width(frac: Frac, *, b_step: float = 0.01, b_ceiling: float = 4.0,
         raise ValueError(f"{frac} has no tip in the scanned range")
     hints = {"psi1": None, "psi2": None}
 
-    def width(b: float) -> float:
+    def neg_width(b: float) -> float:
         vals = {}
         for k in ("psi1", "psi2"):
             hint = hints[k]
             br = (hint - 0.05, hint + 0.05) if hint is not None else None
-            vals[k] = boundary(k, frac, b, xtol=xtol, family=family, cap=cap,
-                               grid=grid, bracket=br)
+            vals[k] = boundary(k, frac, b, num, bracket=br)
             hints[k] = vals[k]
-        return vals["psi2"] - vals["psi1"]
+        return vals["psi1"] - vals["psi2"]
 
-    b_prev = family.b_critical
-    w_prev = width(b_prev)
-    if w_prev < 0.0:
-        raise ConsistencyError(f"{frac} already unlocked on the critical line")
-    b_lo = b_hi = None
-    extras: list[float] = []
-    b = b_prev
-    while b < b_ceiling:
-        b = min(b + b_step, b_ceiling)
-        w = width(b)
-        if w_prev > 0.0 >= w or w_prev >= 0.0 > w:
-            if b_lo is None:
-                b_lo, b_hi = b_prev, b
-                if not full_scan:
-                    break
-            else:
-                extras.append(0.5 * (b_prev + b))
-        elif b_lo is not None and (w_prev < 0.0 <= w or w_prev <= 0.0 < w):
-            extras.append(0.5 * (b_prev + b))
-        b_prev, w_prev = b, w
-    if b_lo is None:
-        raise TipNotFoundError(f"no width collapse for {frac} below b={b_ceiling}")
-    b_star = bisect_root(lambda bb: -width(bb), b_lo, b_hi, btol)
-    psi1 = boundary("psi1", frac, b_star, xtol=xtol, family=family, cap=cap, grid=grid)
-    psi2 = boundary("psi2", frac, b_star, xtol=xtol, family=family, cap=cap, grid=grid)
-    return Tip(frac, 0.5 * (psi1 + psi2), b_star, "width", abs(psi2 - psi1),
-               tuple(extras))
+    b_star, extras = _first_crossing(neg_width, num, full_scan, f"width tip of {frac}")
+    psi1 = boundary("psi1", frac, b_star, num)
+    psi2 = boundary("psi2", frac, b_star, num)
+    return Tip(frac, 0.5 * (psi1 + psi2), b_star, "width", abs(psi2 - psi1), extras)

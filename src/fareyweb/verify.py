@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT, Config
 from .farey import Frac, child, is_higher, path_to_real
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
 from .rotation import displacement_extrema
 from .tongue import boundary, section, tip_by_width
-from .web import b_point, strand_point
+from .web import _strand_ends, b_point, strand_point
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -106,27 +107,28 @@ class TrichotomyResult:
     psi2: float
 
 
-def fact1_order(fracs=DEFAULT_FRACS, bs=DEFAULT_BS, tol: float = 1e-9,
-                analytic_tol: float = 1e-10, family=SINE) -> Report:
-    """Boundary orderings phi2 <= {psi1, psi2} <= phi1, plus analytic 0/1 values."""
+def fact1_order(fracs=DEFAULT_FRACS, bs=DEFAULT_BS, analytic_tol: float = 1e-10,
+                num: Config = DEFAULT) -> Report:
+    """Boundary orderings phi2 <= {psi1, psi2} <= phi1 to 1e-9, plus analytic 0/1 values."""
     rep = Report("fact1_order")
+    tol = 1e-9
     for f in fracs:
         for b in bs:
-            sec = section(f, b, family=family)
+            sec = section(f, b, num)
             rep.check_le(f"phi2<=phi1 {f} b={b}", sec.phi2 - sec.phi1, tol)
             rep.check_le(f"phi2<=psi1 {f} b={b}", sec.phi2 - sec.psi1, tol)
             rep.check_le(f"psi2<=phi1 {f} b={b}", sec.psi2 - sec.phi1, tol)
     zero = Frac(0, 1)
     for b in bs:
-        phi1 = boundary("phi1", zero, b, family=family)
-        phi2 = boundary("phi2", zero, b, family=family)
+        phi1 = boundary("phi1", zero, b, num)
+        phi2 = boundary("phi2", zero, b, num)
         rep.check_le(f"phi1(0/1,b={b})=b/2pi", abs(phi1 - b / TWO_PI), analytic_tol)
         rep.check_le(f"phi2(0/1,b={b})=-b/2pi", abs(phi2 + b / TWO_PI), analytic_tol)
     return rep
 
 
 def theorem1(frac: Frac = Frac(1, 2), bs=(1.0, 1.2, 1.5, 2.0), anchor_tol: float = 1e-9,
-             continuity_budget: float | None = None, family=SINE) -> Report:
+             continuity_budget: float | None = None, num: Config = DEFAULT) -> Report:
     """Strand single-valuedness, sampled continuity, and critical-line anchoring."""
     rep = Report("theorem1")
     if continuity_budget is None:
@@ -135,61 +137,57 @@ def theorem1(frac: Frac = Frac(1, 2), bs=(1.0, 1.2, 1.5, 2.0), anchor_tol: float
     sides = [s for s in ("L", "R")
              if not (s == "L" and frac == Frac(0, 1)) and not (s == "R" and frac == Frac(1, 1))]
     for side in sides:
-        pts = [strand_point(frac, side, b, family=family) for b in sorted(bs)]
+        pts = [strand_point(frac, side, b, num) for b in sorted(bs)]
         # monotone objective across the defining bracket at the largest b
         b_top = max(bs)
-        lm = family.landmarks(b_top)
-        if side == "R":
-            x0, target, bound = lm.k_minus, lm.c_plus + frac.p, BoundSide.LOWER
-        else:
-            x0, target, bound = lm.c_plus, lm.k_minus + frac.p, BoundSide.UPPER
+        x0, target, bound = _strand_ends(frac, side, SINE.landmarks(b_top))
         a_star = next(p.a for p in pts if p.b == b_top)
-        samples = [family.iterate(FamilyParams(a_star + da, b_top), bound, x0, frac.q) - target
+        samples = [SINE.iterate(FamilyParams(a_star + da, b_top), bound, x0, frac.q) - target
                    for da in np.linspace(-0.4, 0.4, 9)]
         min_step = min(s2 - s1 for s1, s2 in zip(samples, samples[1:]))
         rep.check_ge(f"objective increasing {side} {frac}", min_step, 1e-12)
         max_jump = max((abs(p2.a - p1.a) for p1, p2 in zip(pts, pts[1:])), default=0.0)
         rep.check_le(f"continuity {side} {frac}", max_jump, continuity_budget)
-        anchor = strand_point(frac, side, family.b_critical, family=family)
-        ba, _ = b_point(frac, family=family)
+        anchor = strand_point(frac, side, SINE.b_critical, num)
+        ba, _ = b_point(frac, num)
         rep.check_le(f"critical-line anchor {side} {frac}", abs(anchor.a - ba), anchor_tol)
     return rep
 
 
-def theorem2(frac: Frac = Frac(1, 2), jmax: int = 4, tol: float = 1e-6,
-             family=SINE) -> Report:
-    """Tips of children sit on the parent strands and conversely."""
+def theorem2(frac: Frac = Frac(1, 2), jmax: int = 4, num: Config = DEFAULT) -> Report:
+    """Tips of children sit on the parent strands and conversely, to 1e-6."""
     rep = Report("theorem2")
-    tip = tip_by_width(frac, family=family)
+    tol = 1e-6
+    tip = tip_by_width(frac, num)
     for j in range(1, jmax + 1):
         rj = child(frac, "R", j)
         lj = child(frac, "L", j)
-        tip_r = tip_by_width(rj, family=family)
-        tip_l = tip_by_width(lj, family=family)
-        on_r = strand_point(frac, "R", tip_r.b, family=family).a
-        on_l = strand_point(frac, "L", tip_l.b, family=family).a
+        tip_r = tip_by_width(rj, num)
+        tip_l = tip_by_width(lj, num)
+        on_r = strand_point(frac, "R", tip_r.b, num).a
+        on_l = strand_point(frac, "L", tip_l.b, num).a
         rep.check_le(f"tip({rj}) on R-strand({frac})", abs(tip_r.a - on_r), tol)
         rep.check_le(f"tip({lj}) on L-strand({frac})", abs(tip_l.a - on_l), tol)
-        child_r = strand_point(lj, "R", tip.b, family=family).a
-        child_l = strand_point(rj, "L", tip.b, family=family).a
+        child_r = strand_point(lj, "R", tip.b, num).a
+        child_l = strand_point(rj, "L", tip.b, num).a
         rep.check_le(f"tip({frac}) on R-strand({lj})", abs(tip.a - child_r), tol)
         rep.check_le(f"tip({frac}) on L-strand({rj})", abs(tip.a - child_l), tol)
     return rep
 
 
-def trichotomy(frac: Frac, b: float, jmax: int = 4, *, margin: float = 1e-9,
-               coincide_tol: float = 1e-6, family=SINE) -> TrichotomyResult:
+def trichotomy(frac: Frac, b: float, jmax: int = 4, num: Config = DEFAULT, *,
+               coincide_tol: float = 1e-6) -> TrichotomyResult:
     """Classify one horizontal line against the child strands of one fraction.
 
     Strand samples use the raw-map continuation so that above the tip the
     child strands stay distinct instead of merging through plateaus.
     """
-    L = tuple(strand_point(child(frac, "R", j), "L", b, family=family,
-                           method="continued").a for j in range(jmax + 1))
-    R = tuple(strand_point(child(frac, "L", j), "R", b, family=family,
-                           method="continued").a for j in range(jmax + 1))
-    psi1 = boundary("psi1", frac, b, family=family)
-    psi2 = boundary("psi2", frac, b, family=family)
+    L = tuple(strand_point(child(frac, "R", j), "L", b, num, method="continued").a
+              for j in range(jmax + 1))
+    R = tuple(strand_point(child(frac, "L", j), "R", b, num, method="continued").a
+              for j in range(jmax + 1))
+    psi1 = boundary("psi1", frac, b, num)
+    psi2 = boundary("psi2", frac, b, num)
     allv = list(L) + list(R) + [psi1, psi2]
     if max(allv) - min(allv) <= coincide_tol:
         case = 3
@@ -206,8 +204,8 @@ def _chain_margin(values: list[float]) -> float:
 
 
 def theorem3(frac: Frac = Frac(1, 2), b: float | None = None, jmax: int = 4,
-             margin: float = 1e-9, coincide_tol: float = 1e-6, family=SINE,
-             expect_case: int | None = None) -> Report:
+             margin: float = 1e-9, coincide_tol: float = 1e-6,
+             expect_case: int | None = None, num: Config = DEFAULT) -> Report:
     """Exactly one of the three orderings holds on each horizontal line.
 
     With b omitted, all three regimes of the given fraction are exercised:
@@ -217,11 +215,10 @@ def theorem3(frac: Frac = Frac(1, 2), b: float | None = None, jmax: int = 4,
     if b is not None:
         rows = [(b, expect_case)]
     else:
-        tip = tip_by_width(frac, family=family)
-        rows = [(family.b_critical + 0.05, 1), (tip.b, 3), (tip.b + 0.1, 2)]
+        tip = tip_by_width(frac, num)
+        rows = [(SINE.b_critical + 0.05, 1), (tip.b, 3), (tip.b + 0.1, 2)]
     for b_row, expected in rows:
-        res = trichotomy(frac, b_row, jmax, margin=margin,
-                         coincide_tol=coincide_tol, family=family)
+        res = trichotomy(frac, b_row, jmax, num, coincide_tol=coincide_tol)
         rep.add(f"case at b={b_row:.6g}", res.case,
                 expected if expected is not None else res.case,
                 expected is None or res.case == expected,
@@ -240,7 +237,8 @@ def theorem3(frac: Frac = Frac(1, 2), b: float | None = None, jmax: int = 4,
 
 
 def theorem4(pairs=((Frac(1, 2), Frac(1, 3)), (Frac(1, 3), Frac(2, 5))),
-             b: float | None = None, min_width: float = 1e-8, family=SINE) -> Report:
+             b: float | None = None, min_width: float = 1e-8,
+             num: Config = DEFAULT) -> Report:
     """Locking of a fraction forces positive-width locking of everything higher."""
     rep = Report("theorem4")
     for high, low in pairs:
@@ -248,24 +246,24 @@ def theorem4(pairs=((Frac(1, 2), Frac(1, 3)), (Frac(1, 3), Frac(2, 5))),
             rep.add(f"{high} higher than {low}", 0.0, 1.0, False)
             continue
         if b is None:
-            tip_low = tip_by_width(low, family=family)
-            b_row = 0.5 * (family.b_critical + tip_low.b)
+            tip_low = tip_by_width(low, num)
+            b_row = 0.5 * (SINE.b_critical + tip_low.b)
         else:
             b_row = b
-        sec_low = section(low, b_row, family=family)
+        sec_low = section(low, b_row, num)
         rep.check_ge(f"{low} locked at b={b_row:.6g}", sec_low.locking_width, 0.0)
-        sec_high = section(high, b_row, family=family)
+        sec_high = section(high, b_row, num)
         rep.check_ge(f"width({high}) at b={b_row:.6g}", sec_high.locking_width, min_width)
     return rep
 
 
-def corollary1(chain=DEFAULT_CHAIN, margin: float = 1e-6, family=SINE) -> Report:
+def corollary1(chain=DEFAULT_CHAIN, margin: float = 1e-6, num: Config = DEFAULT) -> Report:
     """Tip heights strictly decrease down a monotone tree path."""
     rep = Report("corollary1")
     for f1, f2 in zip(chain, chain[1:]):
         rep.add(f"{f1} higher than {f2}", 1.0 if is_higher(f1, f2) else 0.0, 1.0,
                 is_higher(f1, f2))
-    heights = [tip_by_width(f, family=family).b for f in chain]
+    heights = [tip_by_width(f, num).b for f in chain]
     rep.check_ge("tip heights strictly decreasing",
                  _chain_margin(heights), margin,
                  detail=" > ".join(f"{h:.9g}" for h in heights))
@@ -273,29 +271,29 @@ def corollary1(chain=DEFAULT_CHAIN, margin: float = 1e-6, family=SINE) -> Report
 
 
 def theorem5(frac: Frac = Frac(1, 2), jmax: int = 6, irr_depth: int = 5,
-             family=SINE) -> Report:
+             num: Config = DEFAULT) -> Report:
     """Tip sequences along child chains: a uniform gap for one fraction's
     children, Cauchy convergence onto the tongue boundary, and collapse onto
     the critical line along an irrational path."""
     rep = Report("theorem5")
-    tips = [tip_by_width(child(frac, "R", j), family=family) for j in range(1, jmax + 1)]
+    tips = [tip_by_width(child(frac, "R", j), num) for j in range(1, jmax + 1)]
     bs = [t.b for t in tips]
     rep.check_ge("b(T_rj) strictly decreasing", _chain_margin(bs), 0.0,
                  detail=" > ".join(f"{v:.9g}" for v in bs))
-    eps = min(bs) - family.b_critical
+    eps = min(bs) - SINE.b_critical
     rep.check_ge("uniform gap above critical line", eps, 1e-6,
                  detail=f"measured eps={eps:.6g}")
     gaps = [math.hypot(t2.a - t1.a, t2.b - t1.b) for t1, t2 in zip(tips, tips[1:])]
     rep.check_ge("successive tip gaps decreasing", _chain_margin(gaps), 0.0,
                  detail=" > ".join(f"{g:.3g}" for g in gaps))
     # tips approach the right edge of the parent's locking region
-    dists = [abs(t.a - boundary("psi2", frac, t.b, family=family)) for t in tips]
+    dists = [abs(t.a - boundary("psi2", frac, t.b, num)) for t in tips]
     rep.check_ge("distance to tongue edge decreasing", _chain_margin(dists), 0.0,
                  detail=" > ".join(f"{d:.3g}" for d in dists))
     rep.check_le("final distance to tongue edge", dists[-1], 0.5 * dists[0])
 
     path = path_to_real(GOLDEN_MEAN, irr_depth)
-    heights = [tip_by_width(f, family=family).b - family.b_critical for f in path]
+    heights = [tip_by_width(f, num).b - SINE.b_critical for f in path]
     rep.check_ge("golden-path heights strictly decreasing", _chain_margin(heights), 0.0,
                  detail=" > ".join(f"{h:.6g}" for h in heights))
     rep.check_le("golden-path final height < half initial", heights[-1],
@@ -304,36 +302,35 @@ def theorem5(frac: Frac = Frac(1, 2), jmax: int = 6, irr_depth: int = 5,
 
 
 def schwarzian_negativity(bs=(1.2, 2.0), n_grid: int = 1024,
-                          fprime_floor: float = 1e-6, family=SINE) -> Report:
-    """The Schwarzian derivative stays negative away from turning points."""
+                          fprime_floor: float = 1e-6, num: Config = DEFAULT) -> Report:
+    """The Schwarzian derivative stays negative away from turning points (``num`` unused)."""
     rep = Report("schwarzian")
     for b in bs:
         params = FamilyParams(0.0, b)
         worst = -math.inf
         for i in range(n_grid):
             x = i / n_grid
-            if abs(family.derivative(params, x, 1)) > fprime_floor:
-                worst = max(worst, family.schwarzian(params, x))
+            if abs(SINE.derivative(params, x, 1)) > fprime_floor:
+                worst = max(worst, SINE.schwarzian(params, x))
         rep.check_le(f"max S at b={b}", worst, -1e-12,
                      detail=f"grid of {n_grid} points")
     return rep
 
 
-def fact9_tangency(frac: Frac = Frac(0, 1), b: float = 1.5, tol: float = 1e-9,
-                   family=SINE) -> Report:
+def fact9_tangency(frac: Frac = Frac(0, 1), b: float = 1.5, num: Config = DEFAULT) -> Report:
     """Loss of the rational from the rotation set is a tangency of F^q."""
     rep = Report("fact9_tangency")
-    a = boundary("phi1", frac, b, family=family)
-    ext = displacement_extrema(FamilyParams(a, b), BoundSide.RAW, frac, family=family)
+    a = boundary("phi1", frac, b, num)
+    ext = displacement_extrema(FamilyParams(a, b), BoundSide.RAW, frac, num=num)
     rep.check_le(f"displacement min at phi1({frac}, b={b})", abs(ext.minimum), 1e-10)
     worst = 0.0
     for dx in (1e-5, 1e-4, 1e-3):
         for s in (-1.0, 1.0):
-            g = (family.iterate(FamilyParams(a, b), BoundSide.RAW,
+            g = (SINE.iterate(FamilyParams(a, b), BoundSide.RAW,
                                 ext.argmin + s * dx, frac.q)
                  - (ext.argmin + s * dx) - frac.p)
             worst = min(worst, g)
-    rep.check_ge("two-sided non-negativity around the tangency", worst, -tol)
+    rep.check_ge("two-sided non-negativity around the tangency", worst, -1e-9)
     return rep
 
 
@@ -350,7 +347,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **params) -> Report:
+def run_suite(name: str, num: Config = DEFAULT, **params) -> Report:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return SUITES[name](**params)
+    return SUITES[name](num=num, **params)

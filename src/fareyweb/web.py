@@ -13,21 +13,26 @@ fixed by the parents' denominators.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConsistencyError, TipNotFoundError
+from .errors import ConsistencyError
 from .farey import Frac, parents
+from .config import DEFAULT, Config
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
-from .rotation import DEFAULT_GRID, DEFAULT_Q_CAP
+from .rotation import _check_cap, _disp_grid
 from .solvers import bisect_root, golden_max, golden_min
-from .tongue import Tip, boundary
+from .tongue import Tip, _first_crossing, _sweep, boundary
 
 #: circle-distance tolerance for the orbit-avoidance checks
 CONSTRAINT_TOL = 1e-9
+
+#: twist_cycles keeps extrema within this of zero as tangential fixed points
+#: and matches orbit points to fixed points within MATCH_TOL
+TOUCH_TOL = 1e-9
+MATCH_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -107,22 +112,26 @@ def _check_side(frac: Frac, side: str) -> None:
         raise ValueError("the right strand of 1/1 is not defined")
 
 
-def _raw_orbit_flags(frac: Frac, side: str, a: float, b: float, family) -> tuple[str, ...]:
+def _strand_ends(frac: Frac, side: str, lm) -> tuple[float, float, BoundSide]:
+    """(x0, target, bound) of the strand equation bound^q(x0) = target."""
+    if side == "R":
+        return lm.k_minus, lm.c_plus + frac.p, BoundSide.LOWER
+    return lm.c_plus, lm.k_minus + frac.p, BoundSide.UPPER
+
+
+def _raw_orbit_flags(frac: Frac, side: str, a: float, b: float) -> tuple[str, ...]:
     """Per-iterate avoidance/early-arrival flags along the raw orbit."""
-    lm = family.landmarks(b)
+    lm = SINE.landmarks(b)
     if lm.degenerate:
         return ("relaxed",)
     params = FamilyParams(a, b)
-    if side == "R":
-        x0, target = lm.k_minus, lm.c_plus + frac.p
-        avoid_lo, avoid_hi = lm.k_minus, lm.k  # the set (k_minus, k]
-    else:
-        x0, target = lm.c_plus, lm.k_minus + frac.p
-        avoid_lo, avoid_hi = lm.c, lm.c_plus  # the set [c, c_plus)
+    x0, target, _ = _strand_ends(frac, side, lm)
+    # the avoided set: (k_minus, k] for right strands, [c, c_plus) for left ones
+    avoid_lo, avoid_hi = (lm.k_minus, lm.k) if side == "R" else (lm.c, lm.c_plus)
     flags = []
     x = x0
     for i in range(1, frac.q + 1):
-        x = family.eval(params, x)
+        x = SINE.eval(params, x)
         t = x - math.floor(x)
         flag = "ok"
         if avoid_lo + CONSTRAINT_TOL < t < avoid_hi - CONSTRAINT_TOL:
@@ -139,23 +148,19 @@ def _raw_orbit_flags(frac: Frac, side: str, a: float, b: float, family) -> tuple
 
 
 def _raw_strand_roots(frac: Frac, side: str, b: float, lo: float, hi: float,
-                      family, xtol: float) -> list[float]:
+                      xtol: float) -> list[float]:
     """All roots of the raw q-step strand equation on [lo, hi]."""
-    lm = family.landmarks(b)
-    if side == "R":
-        x0, target = lm.k_minus, lm.c_plus + frac.p
-    else:
-        x0, target = lm.c_plus, lm.k_minus + frac.p
+    x0, target, _ = _strand_ends(frac, side, SINE.landmarks(b))
     p0 = FamilyParams(0.0, b)  # translation moves everything by a exactly
     n = 8192 + 1024 * frac.q
     a_grid = np.linspace(lo, hi, n)
     x = np.full(n, x0)
     for _ in range(frac.q):
-        x = family.eval(p0, x) + a_grid
+        x = SINE.eval(p0, x) + a_grid
     g = x - target
 
     def scalar(a: float) -> float:
-        return family.iterate(FamilyParams(a, b), BoundSide.RAW, x0, frac.q) - target
+        return SINE.iterate(FamilyParams(a, b), BoundSide.RAW, x0, frac.q) - target
 
     roots = []
     for i in np.nonzero(np.diff(np.sign(g)) != 0)[0]:
@@ -168,30 +173,27 @@ def _raw_strand_roots(frac: Frac, side: str, b: float, lo: float, hi: float,
     return roots
 
 
-def _segment_is_twist(frac: Frac, side: str, a: float, b: float, family,
-                      tol: float = 1e-9) -> bool:
+def _segment_is_twist(frac: Frac, side: str, a: float, b: float) -> bool:
     """True when the defining orbit segment is combinatorially a rigid rotation.
 
     The lift must act in an order-preserving way on the segment's circle
     positions; among all raw roots of the strand equation this holds for
     exactly the one continuing the strand.
     """
-    lm = family.landmarks(b)
     params = FamilyParams(a, b)
-    x = lm.k_minus if side == "R" else lm.c_plus
+    x = _strand_ends(frac, side, SINE.landmarks(b))[0]
     ts: list[float] = []
     images: list[float] = []
     for _ in range(frac.q):
         t = x - math.floor(x)
         ts.append(t)
-        images.append(family.eval(params, t))
-        x = family.eval(params, x)
+        images.append(SINE.eval(params, t))
+        x = SINE.eval(params, x)
     order = sorted(range(frac.q), key=lambda i: ts[i])
-    return all(images[i2] >= images[i1] - tol for i1, i2 in zip(order, order[1:]))
+    return all(images[i2] >= images[i1] - 1e-9 for i1, i2 in zip(order, order[1:]))
 
 
-def strand_point(frac: Frac, side: str, b: float, *, xtol: float = 1e-12,
-                 family=SINE, cap: int = DEFAULT_Q_CAP,
+def strand_point(frac: Frac, side: str, b: float, num: Config = DEFAULT, *,
                  method: str = "bound") -> StrandPoint:
     """The strand's intersection with the horizontal line at b.
 
@@ -205,89 +207,66 @@ def strand_point(frac: Frac, side: str, b: float, *, xtol: float = 1e-12,
     if method not in ("bound", "continued"):
         raise ValueError(f"method must be 'bound' or 'continued', got {method!r}")
     _check_side(frac, side)
-    if frac.q > cap:
-        raise ValueError(f"denominator {frac.q} exceeds cap {cap}")
-    lm = family.landmarks(b)
-    if side == "R":
-        x0, target, bound = lm.k_minus, lm.c_plus + frac.p, BoundSide.LOWER
-    else:
-        x0, target, bound = lm.c_plus, lm.k_minus + frac.p, BoundSide.UPPER
+    _check_cap(frac, num)
+    x0, target, bound = _strand_ends(frac, side, SINE.landmarks(b))
 
     def objective(a: float) -> float:
-        return family.iterate(FamilyParams(a, b), bound, x0, frac.q) - target
+        return SINE.iterate(FamilyParams(a, b), bound, x0, frac.q) - target
 
     # the objective grows at least as fast as a, so the root is within
     # |objective(a0)| of any probe a0
     a0 = frac.value
     f0 = objective(a0)
     lo, hi = a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9
-    a_star = bisect_root(objective, lo, hi, xtol)
-    flags = _raw_orbit_flags(frac, side, a_star, b, family)
+    a_star = bisect_root(objective, lo, hi, num.solver_tol)
+    flags = _raw_orbit_flags(frac, side, a_star, b)
     verified = all(f in ("ok", "relaxed") for f in flags)
     how = "bound"
     if method == "continued" and not verified:
         r = 0.5 + b / TWO_PI
         cands = [a for a in _raw_strand_roots(frac, side, b, frac.value - r,
-                                              frac.value + r, family, xtol)
-                 if _segment_is_twist(frac, side, a, b, family)]
+                                              frac.value + r, num.solver_tol)
+                 if _segment_is_twist(frac, side, a, b)]
         if cands:
             a_star = min(cands, key=lambda a: abs(a - a_star))
-            flags = _raw_orbit_flags(frac, side, a_star, b, family)
+            flags = _raw_orbit_flags(frac, side, a_star, b)
             verified = all(f in ("ok", "relaxed") for f in flags)
             how = "continued"
     return StrandPoint(frac, side, a_star, b, verified, flags, how)
 
 
-def trace_strand(frac: Frac, side: str, b_lo: float, b_hi: float, steps: int, *,
-                 continuity_budget: float | None = None, xtol: float = 1e-12,
-                 family=SINE, cap: int = DEFAULT_Q_CAP,
-                 method: str = "bound") -> list[StrandPoint]:
+def trace_strand(frac: Frac, side: str, b_lo: float, b_hi: float, steps: int,
+                 num: Config = DEFAULT, *, method: str = "bound") -> list[StrandPoint]:
     """Strand samples at uniformly spaced b; jumps above budget are warned.
 
-    The default budget scales with the step; strands move fastest just above
-    the critical line, where the landmark gap opens like a square root.
+    The budget floor is wider than for tongue sections: strands move fastest
+    just above the critical line, where the landmark gap opens like a square
+    root.
     """
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    if not family.b_critical <= b_lo <= b_hi:
+    if not SINE.b_critical <= b_lo <= b_hi:
         raise ValueError("need b_critical <= b_lo <= b_hi")
-    if continuity_budget is None:
-        continuity_budget = max(0.05, 2.0 * (b_hi - b_lo) / max(steps - 1, 1))
-    out = []
-    for i in range(steps):
-        b = b_lo + (b_hi - b_lo) * i / (steps - 1)
-        out.append(strand_point(frac, side, b, xtol=xtol, family=family, cap=cap,
-                                method=method))
-    for prev, cur in zip(out, out[1:]):
-        if abs(cur.a - prev.a) > continuity_budget:
-            warnings.warn(
-                f"strand {side} of {frac} jumps by {abs(cur.a - prev.a):.3g} "
-                f"between b={prev.b} and b={cur.b}", RuntimeWarning, stacklevel=2)
-    return out
+    return _sweep(lambda b: strand_point(frac, side, b, num, method=method),
+                  lambda pt: [(f"strand {side} of {frac}", pt.a)],
+                  b_lo, b_hi, steps, 0.05)
 
 
 @lru_cache(maxsize=1024)
-def b_point(frac: Frac, *, xtol: float = 1e-12, family=SINE) -> tuple[float, float]:
+def b_point(frac: Frac, num: Config = DEFAULT) -> tuple[float, float]:
     """The unique critical-line point whose critical orbit is p/q-periodic."""
-    b = family.b_critical
-    lm = family.landmarks(b)
-    c = lm.c  # single critical point on the critical line
+    b = SINE.b_critical
+    c = SINE.landmarks(b).c  # single critical point on the critical line
 
     def objective(a: float) -> float:
-        return family.iterate(FamilyParams(a, b), BoundSide.RAW, c, frac.q) - (c + frac.p)
+        return SINE.iterate(FamilyParams(a, b), BoundSide.RAW, c, frac.q) - (c + frac.p)
 
     a0 = frac.value
     f0 = objective(a0)
-    a_star = bisect_root(objective, a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9, xtol)
+    a_star = bisect_root(objective, a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9, num.solver_tol)
     return a_star, b
 
 
 @lru_cache(maxsize=256)
-def tip_by_intersection(frac: Frac, *, b_step: float = 0.01, b_ceiling: float = 4.0,
-                        btol: float = 1e-10, xtol: float = 1e-12, family=SINE,
-                        cap: int = DEFAULT_Q_CAP,
-                        grid: tuple[int, int] = DEFAULT_GRID,
-                        full_scan: bool = False) -> Tip:
+def tip_by_intersection(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> Tip:
     """Tip located as the lowest crossing of the two parent strands.
 
     The right strand of the left parent and the left strand of the right
@@ -301,79 +280,46 @@ def tip_by_intersection(frac: Frac, *, b_step: float = 0.01, b_ceiling: float = 
     left, right = parents(frac)
 
     def gap(b: float) -> float:
-        ra = strand_point(left, "R", b, xtol=xtol, family=family, cap=cap).a
-        la = strand_point(right, "L", b, xtol=xtol, family=family, cap=cap).a
-        return ra - la
+        return strand_point(left, "R", b, num).a - strand_point(right, "L", b, num).a
 
-    b_prev = family.b_critical
-    g_prev = gap(b_prev)
-    if g_prev > 0.0:
-        raise ConsistencyError(f"parent strands of {frac} start out of order")
-    b_lo = b_hi = None
-    extras: list[float] = []
-    b = b_prev
-    while b < b_ceiling:
-        b = min(b + b_step, b_ceiling)
-        g = gap(b)
-        if g_prev < 0.0 <= g or g_prev <= 0.0 < g:
-            if b_lo is None:
-                b_lo, b_hi = b_prev, b
-                if not full_scan:
-                    break
-            else:
-                extras.append(0.5 * (b_prev + b))
-        elif b_lo is not None and (g_prev > 0.0 >= g or g_prev >= 0.0 > g):
-            extras.append(0.5 * (b_prev + b))
-        b_prev, g_prev = b, g
-    if b_lo is None:
-        raise TipNotFoundError(f"no strand intersection for {frac} below b={b_ceiling}")
-    b_star = bisect_root(gap, b_lo, b_hi, btol)
-    ra = strand_point(left, "R", b_star, xtol=xtol, family=family, cap=cap).a
-    la = strand_point(right, "L", b_star, xtol=xtol, family=family, cap=cap).a
-    a_star = 0.5 * (ra + la)
-    psi1 = boundary("psi1", frac, b_star, xtol=xtol, family=family, cap=cap, grid=grid)
-    psi2 = boundary("psi2", frac, b_star, xtol=xtol, family=family, cap=cap, grid=grid)
-    return Tip(frac, a_star, b_star, "intersection", abs(psi2 - psi1), tuple(extras))
+    b_star, extras = _first_crossing(gap, num, full_scan, f"intersection tip of {frac}")
+    ra = strand_point(left, "R", b_star, num).a
+    la = strand_point(right, "L", b_star, num).a
+    psi1 = boundary("psi1", frac, b_star, num)
+    psi2 = boundary("psi2", frac, b_star, num)
+    return Tip(frac, 0.5 * (ra + la), b_star, "intersection", abs(psi2 - psi1), extras)
 
 
-def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac, *,
-                 family=SINE, cap: int = DEFAULT_Q_CAP,
-                 grid: tuple[int, int] = DEFAULT_GRID,
-                 touch_tol: float = 1e-9, match_tol: float = 1e-5) -> list[TwistCycle]:
+def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac,
+                 num: Config = DEFAULT) -> list[TwistCycle]:
     """All twist p/q-cycles of the selected map (at most two for this family).
 
     Fixed points of the q-step displacement are found by sign-change scanning
-    plus bisection; extrema grazing zero within ``touch_tol`` after refinement
+    plus bisection; extrema grazing zero within ``TOUCH_TOL`` after refinement
     are kept as tangential fixed points.  Fixed points are grouped into
     orbits, and only cycles on which the map acts as the rigid rotation by
     p/q are returned.  More than two such cycles is a structural failure.
     """
-    if frac.q > cap:
-        raise ValueError(f"denominator {frac.q} exceeds cap {cap}")
+    _check_cap(frac, num)
     p, q = frac.p, frac.q
-    n = grid[0] + grid[1] * q
-    xs = np.arange(n) / n
-    ys = xs.copy()
-    for _ in range(q):
-        ys = family.bound_eval(params, side, ys)
-    g = ys - xs - p
-    h = 1.0 / n
+    xs, g = _disp_grid(params, side, p, q, SINE, num.grid)
+    h = 1.0 / len(xs)
 
     def scalar(x: float) -> float:
-        return family.iterate(params, side, x, q) - x - p
+        return SINE.iterate(params, side, x, q) - x - p
 
     roots: list[float] = []
 
     def add_root(x: float) -> None:
         # merge clusters around a near-tangency: points count as one fixed
-        # point when the displacement stays within touch_tol between them
+        # point when the displacement stays within TOUCH_TOL between them
         t = float(x) % 1.0
         for idx, r in enumerate(roots):
             d = _circle_dist(r, t)
             if d < 1e-7:
                 return
             if d < 1e-3 and abs(scalar(0.5 * (r + t) if abs(r - t) < 0.5
-                                       else 0.5 * (r + t) - 0.5)) <= touch_tol:
+                                       else 0.5 * (r + t) - 0.5)) <= TOUCH_TOL:
                 if abs(scalar(t)) < abs(scalar(r)):
                     roots[idx] = t
                 return
@@ -392,7 +338,7 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac, *,
     # tangential fixed points graze zero without a sign change; the grid value
     # near one is quadratic in the cell size, so filter loosely and let the
     # refinement decide
-    grid_filter = max(touch_tol, 100.0 * h * h * (1.0 + params.b) ** q)
+    grid_filter = max(TOUCH_TOL, 100.0 * h * h * (1.0 + params.b) ** q)
     near = np.nonzero(np.abs(g) <= grid_filter)[0]
     if len(near) > 256:
         near = near[np.argsort(np.abs(g[near]))[:256]]
@@ -402,7 +348,7 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac, *,
             x_t, v_t = golden_min(scalar, lo, hi, 1e-13)
         else:
             x_t, v_t = golden_max(scalar, lo, hi, 1e-13)
-        if abs(v_t) <= touch_tol:
+        if abs(v_t) <= TOUCH_TOL:
             add_root(x_t)
 
     if not roots:
@@ -420,10 +366,10 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac, *,
         x = r0
         broken = False
         for _ in range(q - 1):
-            x = family.bound_eval(params, side, x) % 1.0
+            x = SINE.bound_eval(params, side, x) % 1.0
             dists = [_circle_dist(x, r) for r in roots_sorted]
             j = int(np.argmin(dists))
-            if dists[j] > match_tol or used[j]:
+            if dists[j] > MATCH_TOL or used[j]:
                 broken = True
                 break
             used[j] = True
@@ -438,9 +384,9 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac, *,
         incs = []
         twist = True
         for idx, y in enumerate(pts):
-            fy = family.bound_eval(params, side, y)
+            fy = SINE.bound_eval(params, side, y)
             succ = pts[(idx + p) % q]
-            if _circle_dist(fy, succ) > match_tol:
+            if _circle_dist(fy, succ) > MATCH_TOL:
                 twist = False
                 break
             incs.append(int(round(fy - succ)))
@@ -449,9 +395,9 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac, *,
         rep = pts[0]
         left_val = scalar(rep - 1e-6)
         right_val = scalar(rep + 1e-6)
-        if left_val < -touch_tol and right_val > touch_tol:
+        if left_val < -TOUCH_TOL and right_val > TOUCH_TOL:
             crossing = 1
-        elif left_val > touch_tol and right_val < -touch_tol:
+        elif left_val > TOUCH_TOL and right_val < -TOUCH_TOL:
             crossing = -1
         else:
             crossing = 0
@@ -463,7 +409,7 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac, *,
     return cycles
 
 
-def verify_tip_cycle(tip: Tip, *, family=SINE, identity_tol: float = 1e-8,
+def verify_tip_cycle(tip: Tip, *, identity_tol: float = 1e-8,
                      combinatorics_tol: float = 1e-6) -> TipCycleReport:
     """Check the orbit identities and cycle structure at a tip.
 
@@ -477,17 +423,17 @@ def verify_tip_cycle(tip: Tip, *, family=SINE, identity_tol: float = 1e-8,
     left, right = parents(tip.frac)
     q1, p1 = left.q, left.p
     q2, p2 = right.q, right.p
-    lm = family.landmarks(tip.b)
+    lm = SINE.landmarks(tip.b)
     params = FamilyParams(tip.a, tip.b)
-    res_r = abs(family.iterate(params, BoundSide.RAW, lm.k_minus, q1) - (lm.c_plus + p1))
-    res_l = abs(family.iterate(params, BoundSide.RAW, lm.c_plus, q2) - (lm.k_minus + p2))
+    res_r = abs(SINE.iterate(params, BoundSide.RAW, lm.k_minus, q1) - (lm.c_plus + p1))
+    res_l = abs(SINE.iterate(params, BoundSide.RAW, lm.c_plus, q2) - (lm.k_minus + p2))
 
     # the raw orbit of k_minus is the candidate cycle
     q = tip.frac.q
     orbit = [lm.k_minus % 1.0]
     x = lm.k_minus
     for _ in range(q - 1):
-        x = family.eval(params, x)
+        x = SINE.eval(params, x)
         orbit.append(x % 1.0)
     pts = sorted(orbit)
     gap_lo, gap_hi = lm.k_minus, lm.c_plus
@@ -496,10 +442,10 @@ def verify_tip_cycle(tip: Tip, *, family=SINE, identity_tol: float = 1e-8,
     succ_ok = True
     pred_ok = True
     for idx, y in enumerate(pts):
-        fy1 = family.iterate(params, BoundSide.RAW, y, q1)
+        fy1 = SINE.iterate(params, BoundSide.RAW, y, q1)
         if _circle_dist(fy1, pts[(idx + 1) % q]) > combinatorics_tol:
             succ_ok = False
-        fy2 = family.iterate(params, BoundSide.RAW, y, q2)
+        fy2 = SINE.iterate(params, BoundSide.RAW, y, q2)
         if _circle_dist(fy2, pts[(idx - 1) % q]) > combinatorics_tol:
             pred_ok = False
     return TipCycleReport(tip.frac, tip.a, tip.b, q1, p1, q2, p2, res_r, res_l,

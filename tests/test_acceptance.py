@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from fareyweb.config import Config
 from fareyweb.construct import build, render
 from fareyweb.farey import (Frac, child, enumerate_level, is_farey_neighbor,
                             mediant, parents)
@@ -57,7 +58,7 @@ def test_criterion_02_fact4_containment():
     ok = True
     for _ in range(20):
         params = FamilyParams(rng.uniform(-0.5, 1.5), 1.0 + rng.uniform(1e-6, 1.0))
-        ri = rot_interval(params, tol=1e-4)
+        ri = rot_interval(params, Config(rot_tol=1e-4))
         avgs = orbit_averages(params, rng.uniform(0.0, 1.0, 64), 4000)
         ok &= avgs.min() >= ri.lower.lo - 1e-3
         ok &= avgs.max() <= ri.upper.hi + 1e-3

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+from fareyweb import cli
 
 BASE = [sys.executable, "-m", "fareyweb"]
 
@@ -17,10 +20,21 @@ def test_usage_error_exits_2():
 
 
 def test_unknown_config_key_exits_1():
-    proc = subprocess.run(BASE + ["--set", "nope=3", "rotnum", "--a", "0", "--b", "0"],
-                          capture_output=True)
-    assert proc.returncode == 1
-    assert b"nope" in proc.stderr
+    rotnum = ["rotnum", "--a", "0.3", "--b", "0.5"]
+    cases = [
+        (["--set", "nope=3", *rotnum], b"nope"),
+        # integer fields below 1 would run a 1-step orbit or divide by zero
+        (["--set", "rot_max_iter=0", *rotnum], b"rot_max_iter"),
+        (["--set", "grid_base=0", "--set", "grid_per_q=0",
+          "tongue", "--frac", "1/2", "--b", "1:1.2:2"], b"grid_base"),
+        (["--set", "scan_grid_base=0", *rotnum], b"scan_grid_base"),
+        (["--set", "scan_grid_per_q=0", *rotnum], b"scan_grid_per_q"),
+        (["--set", "snap_qmax=0", *rotnum], b"snap_qmax"),
+    ]
+    for args, needle in cases:
+        proc = subprocess.run(BASE + args, capture_output=True)
+        assert proc.returncode == 1, args
+        assert needle in proc.stderr, (args, proc.stderr)
 
 
 def test_rotnum_json():
@@ -28,6 +42,15 @@ def test_rotnum_json():
     doc = json.loads(proc.stdout)
     assert doc["lower"]["exact"] == [0, 1]
     assert doc["width"] == 0.0
+
+
+def test_rotnum_tol_is_the_applied_rot_tol():
+    doc = json.loads(run_cli("rotnum", "--a", "0.3", "--b", "0.5", "--tol", "1e-3").stdout)
+    assert doc["config"]["rot_tol"] == 1e-3
+    assert doc["lower"]["iterations"] == 2000
+    for bad in ("0", "-1"):
+        proc = run_cli("rotnum", "--a", "0.3", "--b", "0.5", "--tol", bad, expect=1)
+        assert b"rot_tol" in proc.stderr
 
 
 def test_farey_ops():
@@ -144,6 +167,12 @@ def test_verify_suite_exit_codes():
     assert proc.returncode == 3
 
 
+def test_verify_honours_config():
+    proc = run_cli("--set", "q_cap=1", "verify", "--suite", "fact9_tangency",
+                   "--param", "frac=1/2", expect=1)
+    assert b"exceeds cap" in proc.stderr
+
+
 def test_verify_json_output():
     proc = run_cli("verify", "--suite", "fact9_tangency", "--json")
     doc = json.loads(proc.stdout)
@@ -155,3 +184,37 @@ def test_config_file_roundtrip(tmp_path):
     cfg.write_text("rot_tol = 1e-3\nworkers=1\n# comment\n")
     out = run_cli("--config", str(cfg), "tongue", "--frac", "0/1", "--b", "0:0:1").stdout
     assert b"rot_tol=0.001" in out
+
+
+#: sha256 of each artifact at the default configuration.  The numbers are
+#: deterministic on one platform; a change meant to alter an artifact updates
+#: its digest here.
+GOLDEN = [
+    (["--set", "rot_tol=1e-4", "rotnum", "--a", "0.3", "--b", "1.8"],
+     "36b5a03f309c6d300a246c3a385d018a36704e45ef1ec257bbfeef7de335eb1a"),
+    (["tongue", "--frac", "1/2", "--b", "1:1.5:3"],
+     "a11d8ae38b0a0911cfdcd3b5624f3edcb3372c43f3544633387b401ccb709fdf"),
+    (["strand", "--frac", "3/8", "--side", "R", "--b", "1:2:5", "--method", "continued"],
+     "3982d99b4ef6a7a6392e2a368472b71374bdbfe608b3344126bbfdddee27c18a"),
+    (["bpoint", "--frac", "3/8"],
+     "3c6f885147484ee1214a1fe0f51ca9b914094fdd9fe78d067c101f21cf76e50c"),
+    (["--set", "b_tol=1e-8", "tip", "--frac", "1/2", "--method", "intersection"],
+     "7b32047eeab98437d54338a6062402335ccf937f96f5112cdb0e24488d6d1aab"),
+    (["web", "--max-level", "2", "--b", "1:1.5:5"],
+     "36206c36cb2f542db338f886d8aad8892728f2e6a16f3d1bc63c0ebeff1c7863"),
+    (["scan", "--a", "0.4:0.6:5", "--b", "1.0:1.4:3", "--mode", "lock:1/2"],
+     "d74ea26c50f0765d4c7988776fa5f803748424aa9b69ab02082b2690cfd87092"),
+    (["scan", "--a", "0:0.5:4", "--b", "1.0:1.2:3", "--mode", "width", "--format", "pgm"],
+     "0622adae4960bff36055cf5cf30d3e6ea0f9e07df8e954a554a3a0b6d7fc60ad"),
+    (["verify", "--suite", "fact9_tangency", "--json"],
+     "088524db6c2eb905ad09cbfee2bfc1d6d82575a52c6a1ca7bcb1b58991803ab8"),
+    (["construct", "--stages", "3", "--format", "svg"],
+     "31f62dc2f6547ccfc1a46c6aa1b439fad5b0d6a5c07cf3fa0ee240eb7f61a487"),
+]
+
+
+def test_golden_artifacts(tmp_path):
+    out = tmp_path / "artifact"
+    for argv, digest in GOLDEN:
+        assert cli.main(argv + ["--out", str(out)]) == 0, argv
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv

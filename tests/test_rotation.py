@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fareyweb.config import Config
 from fareyweb.farey import Frac
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
 from fareyweb.rotation import (displacement_extrema, lock_status,
@@ -10,19 +11,19 @@ from fareyweb.rotation import (displacement_extrema, lock_status,
 
 
 def test_rho_rigid_rotation():
-    enc = rho_monotone(lambda x: x + 1/3, tol=1e-6)
+    enc = rho_monotone(lambda x: x + 1/3, Config(rot_tol=1e-6))
     assert enc.contains(1/3)
     assert enc.width <= 1.001e-6
 
 
 def test_rho_fixed_point_family():
     # sin vanishes at 0, so a = 0 pins a fixed point and rho = 0
-    enc = rho_monotone(lambda x: SINE.eval(FamilyParams(0.0, 1.0), x), tol=1e-4)
+    enc = rho_monotone(lambda x: SINE.eval(FamilyParams(0.0, 1.0), x), Config(rot_tol=1e-4))
     assert enc.contains(0.0)
 
 
 def test_rho_width_bound_and_cap():
-    enc = rho_monotone(lambda x: x + 0.137, tol=1e-9, max_iter=10000)
+    enc = rho_monotone(lambda x: x + 0.137, Config(rot_tol=1e-9, rot_max_iter=10000))
     assert enc.iterations == 10000
     assert abs(enc.width - 2.0 / 10000) < 1e-12
     assert enc.contains(0.137)
@@ -30,24 +31,24 @@ def test_rho_width_bound_and_cap():
 
 def test_rho_rejects_non_monotone():
     with pytest.raises(ValueError):
-        rho_monotone(lambda x: SINE.eval(FamilyParams(0.0, 1.8), x), tol=1e-3)
+        rho_monotone(lambda x: SINE.eval(FamilyParams(0.0, 1.8), x), Config(rot_tol=1e-3))
 
 
 def test_rho_monotone_in_translation():
     encs = [rho_monotone(lambda x, a=a: SINE.bound_eval(FamilyParams(a, 1.6), BoundSide.LOWER, x),
-                         tol=1e-4) for a in (0.1, 0.2, 0.3)]
+                         Config(rot_tol=1e-4)) for a in (0.1, 0.2, 0.3)]
     for e1, e2 in zip(encs, encs[1:]):
         assert e2.lo >= e1.lo - 1e-4
 
 
 def test_rot_interval_invertible_is_degenerate():
-    ri = rot_interval(FamilyParams(0.25, 0.5), tol=1e-4)
+    ri = rot_interval(FamilyParams(0.25, 0.5), Config(rot_tol=1e-4))
     assert ri.upper.hi - ri.lower.lo <= 2.1e-4
 
 
 def test_rot_interval_translation_by_one():
-    ri0 = rot_interval(FamilyParams(0.3, 1.6), tol=1e-4, snap=False)
-    ri1 = rot_interval(FamilyParams(1.3, 1.6), tol=1e-4, snap=False)
+    ri0 = rot_interval(FamilyParams(0.3, 1.6), Config(rot_tol=1e-4), snap=False)
+    ri1 = rot_interval(FamilyParams(1.3, 1.6), Config(rot_tol=1e-4), snap=False)
     assert abs(ri1.lower.lo - ri0.lower.lo - 1.0) < 1e-9
     assert abs(ri1.upper.hi - ri0.upper.hi - 1.0) < 1e-9
 
@@ -55,14 +56,14 @@ def test_rot_interval_translation_by_one():
 def test_rot_interval_odd_symmetry():
     # conjugating by x -> -x negates rotation numbers and swaps the endpoints
     for a in (0.0, 0.21):
-        ri_pos = rot_interval(FamilyParams(a, 1.9), tol=1e-5, snap=False)
-        ri_neg = rot_interval(FamilyParams(-a, 1.9), tol=1e-5, snap=False)
+        ri_pos = rot_interval(FamilyParams(a, 1.9), Config(rot_tol=1e-5), snap=False)
+        ri_neg = rot_interval(FamilyParams(-a, 1.9), Config(rot_tol=1e-5), snap=False)
         assert abs(ri_pos.lower.mid + ri_neg.upper.mid) < 1e-4
         assert abs(ri_pos.upper.mid + ri_neg.lower.mid) < 1e-4
 
 
 def test_rot_interval_snaps_locked_origin():
-    ri = rot_interval(FamilyParams(0.0, 2.0), tol=1e-4)
+    ri = rot_interval(FamilyParams(0.0, 2.0), Config(rot_tol=1e-4))
     assert ri.lower.exact == (0, 1)
     assert ri.upper.exact == (0, 1)
     assert ri.width == 0.0
@@ -72,7 +73,7 @@ def test_snap_requires_sign_certificate():
     # a around the 0/1 boundary: the enclosure may hug 0 but must not snap
     b = 0.5
     a_edge = b / TWO_PI  # exact right edge of the 0-locking interval
-    ri = rot_interval(FamilyParams(a_edge + 1e-3, b), tol=1e-5)
+    ri = rot_interval(FamilyParams(a_edge + 1e-3, b), Config(rot_tol=1e-5))
     assert ri.lower.exact is None or ri.lower.exact != (0, 1)
 
 
@@ -106,7 +107,7 @@ def test_displacement_extrema_offset_translates():
 
 def test_displacement_cap():
     with pytest.raises(ValueError):
-        displacement_extrema(FamilyParams(0, 1), BoundSide.RAW, Frac(1, 65), cap=64)
+        displacement_extrema(FamilyParams(0, 1), BoundSide.RAW, Frac(1, 65), num=Config(q_cap=64))
 
 
 def test_lock_status_examples():
@@ -148,7 +149,7 @@ def test_fact4_containment_sampled():
     rng = np.random.default_rng(42)
     for _ in range(5):
         params = FamilyParams(rng.uniform(-0.5, 1.5), rng.uniform(1.0, 2.0) + 1e-9)
-        ri = rot_interval(params, tol=1e-4)
+        ri = rot_interval(params, Config(rot_tol=1e-4))
         starts = rng.uniform(0.0, 1.0, 16)
         avgs = orbit_averages(params, starts, 3000)
         assert avgs.min() >= ri.lower.lo - 1e-3

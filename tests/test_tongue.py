@@ -1,5 +1,6 @@
 import pytest
 
+from fareyweb.config import Config
 from fareyweb.errors import TipNotFoundError
 from fareyweb.farey import Frac
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
@@ -103,7 +104,7 @@ def test_tip_rejects_endpoints():
 
 def test_tip_not_found_below_ceiling():
     with pytest.raises(TipNotFoundError):
-        tip_by_width(Frac(1, 3), b_ceiling=1.05)
+        tip_by_width(Frac(1, 3), Config(b_ceiling=1.05))
 
 
 def test_left_edge_nondecreasing_in_fraction():
