@@ -10,6 +10,8 @@ header so a result file alone reproduces its run.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -54,6 +56,27 @@ class Config:
 
 #: The library defaults; every ``num`` argument falls back to this.
 DEFAULT = Config()
+
+
+def cached(maxsize: int):
+    """``lru_cache`` keyed on the call's bound arguments with defaults applied.
+
+    ``f(x)``, ``f(x, DEFAULT)`` and ``f(x, num=DEFAULT)`` share one entry.  The
+    wrapper exposes the cache's ``cache_info`` and ``cache_clear``.
+    """
+    def decorate(fn):
+        sig = inspect.signature(fn)
+        lru = functools.lru_cache(maxsize)(fn)
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kw):
+            bound = sig.bind(*args, **kw)
+            bound.apply_defaults()
+            return lru(*bound.args, **bound.kwargs)
+
+        wrapper.cache_info, wrapper.cache_clear = lru.cache_info, lru.cache_clear
+        return wrapper
+    return decorate
 
 
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None) -> Config:

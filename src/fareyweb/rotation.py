@@ -125,11 +125,15 @@ def _disp_grid(params: FamilyParams, side: BoundSide, p: int, q: int, family,
 
 
 def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
-                   mode: str, family, grid: tuple[int, int], xtol: float):
+                   mode: str, family, grid: tuple[int, int], xtol: float,
+                   band: float | None = None):
     """Extrema of F^q(x) - x - p from one grid pass, refined inside the best cell.
 
     ``mode`` "min" or "max" returns (value, x) of that extremum; "both" returns
-    the ``Extrema`` of both, refined from the same grid.
+    the ``Extrema`` of both, refined from the same grid.  Refinement only
+    moves a max up and a min down, so with a ``band`` a grid max above +band
+    (grid min below -band) is returned unrefined: it already decides every
+    comparison of that extremum with 0 and +-band.
     """
     xs, g = _disp_grid(params, side, p, q, family, grid)
     h = 1.0 / len(xs)
@@ -140,10 +144,14 @@ def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
     def refine(which: str) -> tuple[float, float]:
         if which == "min":
             i = int(np.argmin(g))
+            if band is not None and g[i] < -band:
+                return float(g[i]), float(xs[i])
             x_ref, v_ref = golden_min(scalar, xs[i] - h, xs[i] + h, xtol)
             on_grid = g[i] < v_ref
         else:
             i = int(np.argmax(g))
+            if band is not None and g[i] > band:
+                return float(g[i]), float(xs[i])
             x_ref, v_ref = golden_max(scalar, xs[i] - h, xs[i] + h, xtol)
             on_grid = g[i] > v_ref
         return (float(g[i]), float(xs[i])) if on_grid else (v_ref, x_ref % 1.0)
@@ -181,8 +189,10 @@ def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
     """
     _check_cap(frac, num)
     p = frac.p + offset * frac.q
-    max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", SINE, num.grid, 1e-13)
-    min_up, _ = _disp_extremum(params, BoundSide.UPPER, p, frac.q, "min", SINE, num.grid, 1e-13)
+    max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", SINE, num.grid,
+                                1e-13, band=LOCK_BAND)
+    min_up, _ = _disp_extremum(params, BoundSide.UPPER, p, frac.q, "min", SINE, num.grid,
+                               1e-13, band=LOCK_BAND)
     if max_low >= LOCK_BAND and min_up <= -LOCK_BAND:
         return LockStatus("locked", frac)
     if max_low <= -LOCK_BAND or min_up >= LOCK_BAND:
@@ -207,8 +217,8 @@ def _try_snap(enc: Enclosure, params: FamilyParams, side: BoundSide,
     if len(candidates) != 1:
         return None
     p, q = candidates.pop()
-    ext = _disp_extremum(params, side, p, q, "both", SINE, num.grid, 1e-13)
     margin = 1e-12
+    ext = _disp_extremum(params, side, p, q, "both", SINE, num.grid, 1e-13, band=margin)
     if ext.minimum <= -margin and ext.maximum >= margin:
         return p, q
     return None

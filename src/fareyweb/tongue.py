@@ -16,15 +16,14 @@ locking component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import warnings
 
-from .config import DEFAULT, Config
+from .config import DEFAULT, Config, cached
 from .errors import ConsistencyError, TipNotFoundError
 from .farey import Frac
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
 from .rotation import _check_cap, _disp_extremum
-from .solvers import bisect_root
+from .solvers import bisect_bracket, bisect_root, open_bracket
 
 #: objective -> (map side, which extremum of the displacement must vanish)
 _OBJECTIVES = {
@@ -79,12 +78,15 @@ def _default_bracket(frac: Frac, b: float) -> tuple[float, float]:
     return v - r, v + r
 
 
-def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT, *,
-             bracket: tuple[float, float] | None = None) -> float:
-    """The unique a at which the selected displacement extremum vanishes.
+def _objective_and_bracket(kind: str, frac: Frac, b: float, num: Config,
+                           bracket: tuple[float, float] | None):
+    """The objective of ``kind`` at b and where its bisection starts.
 
-    An optional ``bracket`` hint is validated and silently widened to the
-    certified default when it does not straddle the root.
+    Returns (objective, lo, hi, f_lo, f_hi): the ``bracket`` hint with its end
+    values when it straddles the root, else the certified default bracket with
+    its end values not yet evaluated (None).  The objective is exact only in
+    its sign, which is all bisection reads: a grid extremum that already has
+    the sign refinement would give is returned unrefined.
     """
     if kind not in _OBJECTIVES:
         raise ValueError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
@@ -93,14 +95,20 @@ def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT, *,
     p, q, grid = frac.p, frac.q, num.grid
 
     def objective(a: float) -> float:
-        return _disp_extremum(FamilyParams(a, b), side, p, q, which, SINE, grid, 1e-13)[0]
+        return _disp_extremum(FamilyParams(a, b), side, p, q, which, SINE, grid, 1e-13,
+                              band=0.0)[0]
 
     if bracket is not None:
         lo, hi = bracket
         f_lo, f_hi = objective(lo), objective(hi)
         if f_lo <= 0.0 <= f_hi:
-            return bisect_root(objective, lo, hi, num.solver_tol, f_lo=f_lo, f_hi=f_hi)
-    lo, hi = _default_bracket(frac, b)
+            return objective, lo, hi, f_lo, f_hi
+    return (objective, *_default_bracket(frac, b), None, None)
+
+
+def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT) -> float:
+    """The unique a at which the selected displacement extremum vanishes."""
+    objective, lo, hi, _, _ = _objective_and_bracket(kind, frac, b, num, None)
     return bisect_root(objective, lo, hi, num.solver_tol)
 
 
@@ -174,7 +182,7 @@ def _first_crossing(f, num: Config, full_scan: bool, what: str) -> tuple[float, 
     f_prev = f(b_prev)
     if f_prev > 0.0:
         raise ConsistencyError(f"{what}: wrong sign on the critical line")
-    b_lo = b_hi = None
+    b_lo = b_hi = f_lo = f_hi = None
     extras: list[float] = []
     b = b_prev
     while b < num.b_ceiling:
@@ -182,7 +190,7 @@ def _first_crossing(f, num: Config, full_scan: bool, what: str) -> tuple[float, 
         f_b = f(b)
         if f_prev < 0.0 <= f_b or f_prev <= 0.0 < f_b:
             if b_lo is None:
-                b_lo, b_hi = b_prev, b
+                b_lo, b_hi, f_lo, f_hi = b_prev, b, f_prev, f_b
                 if not full_scan:
                     break
             else:
@@ -192,10 +200,10 @@ def _first_crossing(f, num: Config, full_scan: bool, what: str) -> tuple[float, 
         b_prev, f_prev = b, f_b
     if b_lo is None:
         raise TipNotFoundError(f"{what}: no sign change below b={num.b_ceiling}")
-    return bisect_root(f, b_lo, b_hi, num.b_tol), tuple(extras)
+    return bisect_root(f, b_lo, b_hi, num.b_tol, f_lo=f_lo, f_hi=f_hi), tuple(extras)
 
 
-@lru_cache(maxsize=256)
+@cached(maxsize=256)
 def tip_by_width(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> Tip:
     """Lowest b above the critical line where the locking width reaches zero.
 
@@ -207,13 +215,29 @@ def tip_by_width(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> 
     hints = {"psi1": None, "psi2": None}
 
     def neg_width(b: float) -> float:
-        vals = {}
+        """psi1 - psi2 at b, or a value of the same sign.
+
+        Both boundary brackets are bisected together, to a common width that
+        halves each round, only until they are disjoint, which fixes the sign
+        of the width.  Brackets that still overlap at solver_tol give exactly
+        the two boundary values.  The next height starts from the midpoints
+        reached here.
+        """
+        objectives, brackets = [], []
         for k in ("psi1", "psi2"):
             hint = hints[k]
             br = (hint - 0.05, hint + 0.05) if hint is not None else None
-            vals[k] = boundary(k, frac, b, num, bracket=br)
-            hints[k] = vals[k]
-        return vals["psi1"] - vals["psi2"]
+            objective, lo, hi, f_lo, f_hi = _objective_and_bracket(k, frac, b, num, br)
+            objectives.append(objective)
+            brackets.append(open_bracket(objective, lo, hi, f_lo, f_hi))
+        (lo1, hi1), (lo2, hi2) = brackets
+        width = max(hi1 - lo1, hi2 - lo2)
+        while width > num.solver_tol and lo1 <= hi2 and lo2 <= hi1:
+            width = max(0.5 * width, num.solver_tol)
+            lo1, hi1 = bisect_bracket(objectives[0], lo1, hi1, width)
+            lo2, hi2 = bisect_bracket(objectives[1], lo2, hi2, width)
+        hints["psi1"], hints["psi2"] = 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
+        return hints["psi1"] - hints["psi2"]
 
     b_star, extras = _first_crossing(neg_width, num, full_scan, f"width tip of {frac}")
     psi1 = boundary("psi1", frac, b_star, num)

@@ -7,6 +7,7 @@ from their inputs.  Suite names are stable strings used by the command line.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -347,7 +348,12 @@ SUITES = {
 }
 
 
-def run_suite(name: str, num: Config = DEFAULT, **params) -> Report:
+def run_suite(name: str, num: Config = DEFAULT, /, **params) -> Report:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return SUITES[name](num=num, **params)
+    suite = SUITES[name]
+    accepted = set(inspect.signature(suite).parameters) - {"num"}
+    if not accepted.issuperset(params):
+        raise ValueError(f"suite {name!r} has no parameter {sorted(set(params) - accepted)}; "
+                         f"available: {sorted(accepted)}")
+    return suite(num=num, **params)

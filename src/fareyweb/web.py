@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConsistencyError
 from .farey import Frac, parents
-from .config import DEFAULT, Config
+from .config import DEFAULT, Config, cached
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
 from .rotation import _check_cap, _disp_grid
 from .solvers import bisect_root, golden_max, golden_min
@@ -250,7 +249,7 @@ def trace_strand(frac: Frac, side: str, b_lo: float, b_hi: float, steps: int,
                   b_lo, b_hi, steps, 0.05)
 
 
-@lru_cache(maxsize=1024)
+@cached(maxsize=1024)
 def b_point(frac: Frac, num: Config = DEFAULT) -> tuple[float, float]:
     """The unique critical-line point whose critical orbit is p/q-periodic."""
     b = SINE.b_critical
@@ -265,7 +264,7 @@ def b_point(frac: Frac, num: Config = DEFAULT) -> tuple[float, float]:
     return a_star, b
 
 
-@lru_cache(maxsize=256)
+@cached(maxsize=256)
 def tip_by_intersection(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> Tip:
     """Tip located as the lowest crossing of the two parent strands.
 

@@ -173,6 +173,13 @@ def test_verify_honours_config():
     assert b"exceeds cap" in proc.stderr
 
 
+def test_verify_unknown_param_exits_1():
+    for param in ("bogus=1", "num=1"):
+        proc = run_cli("verify", "--suite", "schwarzian", "--param", param, expect=1)
+        assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+        assert param.split("=")[0].encode() in proc.stderr
+
+
 def test_verify_json_output():
     proc = run_cli("verify", "--suite", "fact9_tangency", "--json")
     doc = json.loads(proc.stdout)

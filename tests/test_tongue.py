@@ -1,6 +1,10 @@
+import random
+import sys
+
 import pytest
 
-from fareyweb.config import Config
+from fareyweb import rotation
+from fareyweb.config import DEFAULT, Config
 from fareyweb.errors import TipNotFoundError
 from fareyweb.farey import Frac
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
@@ -125,3 +129,75 @@ def test_fact9_tangency_signature_at_phi1():
             x = ext.argmin + s * dx
             g = SINE.iterate(FamilyParams(a, b), BoundSide.RAW, x, frac.q) - x - frac.p
             assert g >= -1e-9
+
+
+#: default-config width tips as first recorded; the faster width search must
+#: reproduce them to the last bit
+PINNED_TIPS = {
+    Frac(1, 2): (0.49999999999999994, 2.1348986767604927, 3.818834137803151e-12),
+    Frac(1, 3): (0.3696399518032252, 1.647391846515239, 3.4661162828797387e-12),
+    Frac(2, 5): (0.4100634590237344, 1.336572438962758, 6.481482017761664e-13),
+    Frac(3, 8): (0.3928411848795711, 1.1940916931256655, 1.8827717163105717e-12),
+}
+
+
+@pytest.mark.parametrize("frac", list(PINNED_TIPS))
+def test_width_tip_pinned(frac):
+    tip = tip_by_width(frac)
+    assert (tip.a, tip.b, tip.residual) == PINNED_TIPS[frac]
+    assert tip.method == "width" and tip.extra_crossings == ()
+
+
+def test_tip_cache_shares_call_forms():
+    tip_by_width(HALF)
+    before = tip_by_width.cache_info()
+    forms = [tip_by_width(HALF), tip_by_width(HALF, DEFAULT), tip_by_width(HALF, num=DEFAULT),
+             tip_by_width(frac=HALF, full_scan=False)]
+    after = tip_by_width.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + len(forms)
+    assert all(t is forms[0] for t in forms)
+
+
+def test_cold_width_tip_extremum_budget(monkeypatch):
+    calls = []
+    original = rotation._disp_extremum
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return original(*args, **kw)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("fareyweb")]:
+        if getattr(mod, "_disp_extremum", None) is original:
+            monkeypatch.setattr(mod, "_disp_extremum", counted)
+    tip = tip_by_width.__wrapped__(HALF)  # bypasses the cache
+    assert (tip.a, tip.b) == PINNED_TIPS[HALF][:2]
+    assert 0 < len(calls) <= 2500
+
+
+def _order(v: float, band: float) -> tuple[bool, ...]:
+    """Every comparison of v that a bisection, lock or snap test makes."""
+    return tuple(c for t in (-band, 0.0, band) for c in (v < t, v == t, v > t))
+
+
+@pytest.mark.parametrize("frac", [HALF, Frac(2, 5)])
+def test_grid_witness_sign_matches_refined_sign(frac):
+    rng = random.Random(7)
+    sides = {"phi1": (BoundSide.RAW, "min"), "phi2": (BoundSide.RAW, "max"),
+             "psi1": (BoundSide.LOWER, "max"), "psi2": (BoundSide.UPPER, "min")}
+    unrefined = 0
+    for b in (0.8, 1.2, 2.0):
+        for kind, (side, which) in sides.items():
+            root = boundary(kind, frac, b)
+            for a in [root + d for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)] + [
+                    frac.value + rng.uniform(-0.3, 0.3) for _ in range(3)]:
+                args = (FamilyParams(a, b), side, frac.p, frac.q, which, SINE, DEFAULT.grid,
+                        1e-13)
+                refined, _ = rotation._disp_extremum(*args)
+                for band in (0.0, rotation.LOCK_BAND):
+                    witness, _ = rotation._disp_extremum(*args, band=band)
+                    assert _order(witness, band) == _order(refined, band), (kind, b, a)
+                    if witness != refined:
+                        unrefined += 1
+                        assert abs(witness) <= abs(refined)
+    assert unrefined > 0

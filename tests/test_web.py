@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fareyweb.config import DEFAULT
 from fareyweb.farey import Frac, child
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
 from fareyweb.tongue import boundary, tip_by_width
@@ -84,6 +85,15 @@ def test_b_point_anchors():
     assert b_point(ZERO) == pytest.approx((0.0, 1.0), abs=1e-10)
     assert b_point(ONE) == pytest.approx((1.0, 1.0), abs=1e-10)
     assert b_point(HALF) == pytest.approx((0.5, 1.0), abs=1e-10)
+
+
+def test_web_caches_share_call_forms():
+    for fn in (b_point, tip_by_intersection):
+        fn(HALF)
+        before = fn.cache_info()
+        assert fn(HALF, DEFAULT) is fn(HALF, num=DEFAULT) is fn(HALF)
+        after = fn.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 3)
 
 
 def test_strands_anchor_at_b_point():
