@@ -4,8 +4,7 @@ Subcommands cover the whole library: rotation intervals, tongue sections,
 strand traces, tips, critical-line points, multi-fraction web exports, the
 idealized construction, parameter-plane rasters, verification suites, and
 rational utilities.  All emitted CSV carries a ``# config:`` comment with the
-effective settings, outputs are byte-identical for identical invocations, and
-raster rows are merged in index order regardless of worker count.
+effective settings, and outputs are byte-identical for identical invocations.
 
 Exit codes: 0 success, 1 numeric failure, 2 usage error, 3 verification
 failure.
@@ -14,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import json
 import sys
@@ -30,7 +28,7 @@ from .farey import Frac, child, enumerate_level, level_and_path, parents, path_t
 from .lift import SINE, BoundSide, FamilyParams
 from .rotation import _orbit_steps, lock_status, rot_interval
 from .tongue import tip_by_width, trace
-from .web import b_point, tip_by_intersection, trace_strand
+from .web import b_point, strand_sides, tip_by_intersection, trace_strand
 
 
 def _parse_range(text: str, what: str) -> tuple[float, float, int]:
@@ -38,8 +36,8 @@ def _parse_range(text: str, what: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError(f"{what} must be lo:hi:n, got {text!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1:
-        raise ValueError(f"{what} needs at least one sample")
+    if n < 1 or not np.isfinite([lo, hi]).all():
+        raise ValueError(f"{what} needs finite bounds and at least one sample")
     return lo, hi, n
 
 
@@ -151,9 +149,7 @@ def _cmd_web(args, cfg: Config) -> int:
     buf.write("p,q,side,b,a,constraints_verified\n")
     strands = {}
     for f in fracs:
-        for side in ("L", "R"):
-            if (side == "L" and f == Frac(0, 1)) or (side == "R" and f == Frac(1, 1)):
-                continue
+        for side in strand_sides(f):
             pts = trace_strand(f, side, b_lo, b_hi, max(n, 2), cfg)[: n]
             strands[(f, side)] = pts
             for p in pts:
@@ -213,27 +209,6 @@ def _cmd_construct(args, cfg: Config) -> int:
     return 0
 
 
-def _scan_row(job) -> list[float]:
-    """One raster row; module-level so process pools can pickle it."""
-    mode, frac_txt, b, a_lo, a_hi, nx, num = job
-    a_vals = np.array(_grid(a_lo, a_hi, nx))
-    if mode == "width":
-        n = _orbit_steps(num.scan_tol, num.rot_max_iter)
-        lows = np.empty(nx)
-        ups = np.empty(nx)
-        for i, a in enumerate(a_vals):
-            params = FamilyParams(float(a), b)
-            lows[i] = SINE.iterate(params, BoundSide.LOWER, 0.0, n) / n
-            ups[i] = SINE.iterate(params, BoundSide.UPPER, 0.0, n) / n
-        return [float(max(0.0, u - l)) for u, l in zip(ups, lows)]
-    frac = Frac.parse(frac_txt)
-    out = []
-    for a in a_vals:
-        st = lock_status(FamilyParams(float(a), b), frac, num=num)
-        out.append({"locked": 1.0, "uncertain": 0.5, "not_locked": 0.0}[st.state])
-    return out
-
-
 def _cmd_scan(args, cfg: Config) -> int:
     a_lo, a_hi, nx = _parse_range(args.a, "--a")
     b_lo, b_hi, ny = _parse_range(args.b, "--b")
@@ -242,31 +217,31 @@ def _cmd_scan(args, cfg: Config) -> int:
         raise ValueError(f"mode must be width or lock:p/q, got {args.mode!r}")
     if mode == "lock" and not frac_txt:
         raise ValueError("lock mode needs a fraction: lock:p/q")
-    b_vals = _grid(b_lo, b_hi, ny)
+    a_vals, b_vals = _grid(a_lo, a_hi, nx), _grid(b_lo, b_hi, ny)
     # raster cells run on the cheaper displacement grid
     cell = replace(cfg, grid_base=cfg.scan_grid_base, grid_per_q=cfg.scan_grid_per_q)
-    jobs = [(mode, frac_txt, b, a_lo, a_hi, nx, cell) for b in b_vals]
-    if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_scan_row, jobs))
+    if mode == "width":
+        n = _orbit_steps(cell.scan_tol, cell.rot_max_iter)
+        up, low = (SINE.iterate_grid(*np.meshgrid(a_vals, b_vals), side, 0.0, n)
+                   for side in (BoundSide.UPPER, BoundSide.LOWER))
+        rows = np.maximum(0.0, up / n - low / n).tolist()
     else:
-        rows = [_scan_row(j) for j in jobs]
+        frac = Frac.parse(frac_txt)
+        value = {"locked": 1.0, "uncertain": 0.5, "not_locked": 0.0}
+        rows = [[value[lock_status(FamilyParams(a, b), frac, num=cell).state]
+                 for a in a_vals] for b in b_vals]
     if args.format == "csv":
         buf = io.StringIO()
         buf.write(cfg.header() + "\n")
         buf.write("a,b,value\n")
-        a_vals = _grid(a_lo, a_hi, nx)
         for b, row in zip(b_vals, rows):
             for a, v in zip(a_vals, row):
                 buf.write(f"{a!r},{b!r},{v!r}\n")
         _emit(buf.getvalue(), args.out)
     else:
         data = np.array(rows)
-        if mode == "width":
-            vmax = float(data.max())
-            scale = vmax if vmax > 0 else 1.0
-        else:
-            scale = 1.0
+        vmax = float(data.max()) if mode == "width" else 1.0
+        scale = vmax if vmax > 0 else 1.0
         pixels = np.round(np.clip(data / scale, 0.0, 1.0) * 65535).astype(">u2")
         header = (f"P5\n{cfg.header()[2:]}\n# rows are b={b_lo!r}..{b_hi!r} "
                   f"bottom-up, scale={scale!r}\n{nx} {ny}\n65535\n")
@@ -285,7 +260,10 @@ def _cmd_verify(args, cfg: Config) -> int:
         if not value:
             raise ValueError(f"bad suite parameter {item!r}")
         params[key] = _parse_param(value)
-    report = verify.run_suite(args.suite, cfg, **params)
+    try:
+        report = verify.run_suite(args.suite, cfg, **params)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"suite {args.suite!r} cannot take {params}: {exc}") from exc
     if args.json:
         doc = report.to_dict()
         doc["config"] = cfg.as_dict()

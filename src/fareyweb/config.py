@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -31,14 +32,15 @@ class Config:
     scan_grid_base: int = 1024   # cheaper displacement grid for raster cells
     scan_grid_per_q: int = 128
     snap_qmax: int = 128
-    workers: int = 1
 
     def __post_init__(self):
         for name in ("rot_tol", "scan_tol", "solver_tol", "b_tol", "b_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not math.isfinite(self.b_ceiling):
+            raise ValueError("b_ceiling must be finite")
         for name in ("rot_max_iter", "q_cap", "grid_base", "grid_per_q", "scan_grid_base",
-                     "scan_grid_per_q", "snap_qmax", "workers"):
+                     "scan_grid_per_q", "snap_qmax"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 

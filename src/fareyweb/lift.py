@@ -92,7 +92,8 @@ class SineFamily:
     The solvers use the shared instance ``SINE`` through degree-one ``eval``
     (accepting floats or numpy arrays), analytic ``derivative`` up to order 3,
     ``b_critical``, per-b ``landmarks``, plateau-truncated ``bound_eval``, and
-    the ``iterate``/``iterate_array`` compositions.
+    the compositions: scalar ``iterate`` and its array form ``iterate_grid``
+    (``iterate_array`` at one parameter pair).
     """
 
     b_critical = 1.0
@@ -115,29 +116,22 @@ class SineFamily:
     def landmarks(self, b: float) -> Landmarks:
         return _sine_landmarks(float(b))
 
+    def _plateau(self, side: BoundSide, b: float) -> tuple[float, float, float]:
+        """(lo, hi, top) for b > 1: the bound is flat on [lo, hi] mod 1 at its value at top."""
+        lm = self.landmarks(b)
+        return (lm.k_minus, lm.k, lm.k) if side is BoundSide.LOWER else (lm.c, lm.c_plus, lm.c)
+
     def bound_eval(self, params: FamilyParams, side: BoundSide, x):
         """Evaluate the selected map; degree one is preserved exactly."""
         if side is BoundSide.RAW or params.b <= self.b_critical:
             return self.eval(params, x)
-        lm = self.landmarks(params.b)
+        lo, hi, top = self._plateau(side, params.b)
         if isinstance(x, np.ndarray):
             t = x - np.floor(x)
-            vals = self.eval(params, t)
-            if side is BoundSide.LOWER:
-                mask = (t >= lm.k_minus) & (t <= lm.k)
-                flat = self.eval(params, lm.k)
-            else:
-                mask = (t >= lm.c) & (t <= lm.c_plus)
-                flat = self.eval(params, lm.c)
-            return np.where(mask, flat, vals) + (x - t)
+            on_flat = (t >= lo) & (t <= hi)
+            return np.where(on_flat, self.eval(params, top), self.eval(params, t)) + (x - t)
         t = x - math.floor(x)
-        if side is BoundSide.LOWER:
-            if lm.k_minus <= t <= lm.k:
-                return self.eval(params, lm.k) + (x - t)
-        else:
-            if lm.c <= t <= lm.c_plus:
-                return self.eval(params, lm.c) + (x - t)
-        return self.eval(params, t) + (x - t)
+        return self.eval(params, top if lo <= t <= hi else t) + (x - t)
 
     def delta(self, b: float) -> float:
         """Sup-norm gap between the upper and lower bounds; 0 iff b <= 1.
@@ -205,15 +199,40 @@ class SineFamily:
 
     def iterate_array(self, params: FamilyParams, side: BoundSide, xs: np.ndarray, n: int) -> np.ndarray:
         """Vectorized n-fold composition over a batch of starting points."""
+        return self.iterate_grid(params.a, params.b, side, xs, n)
+
+    def iterate_grid(self, a, b, side: BoundSide, xs, n: int) -> np.ndarray:
+        """n-fold composition over arrays of a, b and starts that broadcast.
+
+        Each element equals ``iterate(FamilyParams(a, b), side, x, n)`` bit for
+        bit: every step does the scalar loop's arithmetic in the same order,
+        with the plateau edges and flat value looked up once per distinct b.
+        """
         if n < 1:
             raise ValueError("n must be positive")
+        a, b, xs = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, xs)))
+        if np.any(b < 0):
+            raise ValueError(f"b must be non-negative, got {b.min()}")
+        amp = b / TWO_PI
+        # the plateau [lo_edge, hi_edge] is empty where the map is raw
+        lo_edge, hi_edge = np.full(b.shape, np.inf), np.full(b.shape, -np.inf)
+        flat = np.zeros_like(b)
+        for bv in () if side is BoundSide.RAW else np.unique(b[b > self.b_critical]):
+            lo, hi, top = self._plateau(side, bv)
+            at = b == bv
+            lo_edge[at], hi_edge[at] = lo, hi
+            flat[at] = top + a[at] + amp[at] * math.sin(TWO_PI * top)
         t = xs - np.floor(xs)
         carry = xs - t
         for _ in range(n):
-            v = self.bound_eval(params, side, t)
+            v = t + a + amp * np.sin(TWO_PI * t)
+            np.copyto(v, flat, where=(lo_edge <= t) & (t <= hi_edge))
             f = np.floor(v)
             t = v - f
             carry += f
+            wrap = t >= 1.0
+            t[wrap] -= 1.0
+            carry[wrap] += 1.0
         return carry + t
 
 

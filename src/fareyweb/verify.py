@@ -18,13 +18,16 @@ from .farey import Frac, child, is_higher, path_to_real
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
 from .rotation import displacement_extrema
 from .tongue import boundary, section, tip_by_width
-from .web import _strand_ends, b_point, strand_point
+from .web import _strand_ends, b_point, strand_point, strand_sides
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_FRACS = (Frac(0, 1), Frac(1, 2), Frac(1, 3), Frac(2, 3), Frac(2, 5), Frac(3, 8))
 DEFAULT_BS = (1.0, 1.2, 1.5, 2.0)
 DEFAULT_CHAIN = (Frac(1, 2), Frac(1, 3), Frac(2, 5), Frac(3, 8))
+
+#: strand and boundary abscissas within this spread count as one point (a tip)
+COINCIDE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,8 @@ class TrichotomyResult:
     psi2: float
 
 
-def fact1_order(fracs=DEFAULT_FRACS, bs=DEFAULT_BS, analytic_tol: float = 1e-10,
-                num: Config = DEFAULT) -> Report:
-    """Boundary orderings phi2 <= {psi1, psi2} <= phi1 to 1e-9, plus analytic 0/1 values."""
+def fact1_order(fracs=DEFAULT_FRACS, bs=DEFAULT_BS, num: Config = DEFAULT) -> Report:
+    """Boundary orderings phi2 <= {psi1, psi2} <= phi1 to 1e-9, analytic 0/1 values to 1e-10."""
     rep = Report("fact1_order")
     tol = 1e-9
     for f in fracs:
@@ -123,21 +125,17 @@ def fact1_order(fracs=DEFAULT_FRACS, bs=DEFAULT_BS, analytic_tol: float = 1e-10,
     for b in bs:
         phi1 = boundary("phi1", zero, b, num)
         phi2 = boundary("phi2", zero, b, num)
-        rep.check_le(f"phi1(0/1,b={b})=b/2pi", abs(phi1 - b / TWO_PI), analytic_tol)
-        rep.check_le(f"phi2(0/1,b={b})=-b/2pi", abs(phi2 + b / TWO_PI), analytic_tol)
+        rep.check_le(f"phi1(0/1,b={b})=b/2pi", abs(phi1 - b / TWO_PI), 1e-10)
+        rep.check_le(f"phi2(0/1,b={b})=-b/2pi", abs(phi2 + b / TWO_PI), 1e-10)
     return rep
 
 
-def theorem1(frac: Frac = Frac(1, 2), bs=(1.0, 1.2, 1.5, 2.0), anchor_tol: float = 1e-9,
-             continuity_budget: float | None = None, num: Config = DEFAULT) -> Report:
-    """Strand single-valuedness, sampled continuity, and critical-line anchoring."""
+def theorem1(frac: Frac = Frac(1, 2), bs=(1.0, 1.2, 1.5, 2.0), num: Config = DEFAULT) -> Report:
+    """Strand single-valuedness, sampled continuity, and critical-line anchoring to 1e-9."""
     rep = Report("theorem1")
-    if continuity_budget is None:
-        step = max(b2 - b1 for b1, b2 in zip(sorted(bs), sorted(bs)[1:]))
-        continuity_budget = max(0.05, 2.0 * step)
-    sides = [s for s in ("L", "R")
-             if not (s == "L" and frac == Frac(0, 1)) and not (s == "R" and frac == Frac(1, 1))]
-    for side in sides:
+    step = max((b2 - b1 for b1, b2 in zip(sorted(bs), sorted(bs)[1:])), default=0.0)
+    continuity_budget = max(0.05, 2.0 * step)
+    for side in strand_sides(frac):
         pts = [strand_point(frac, side, b, num) for b in sorted(bs)]
         # monotone objective across the defining bracket at the largest b
         b_top = max(bs)
@@ -151,7 +149,7 @@ def theorem1(frac: Frac = Frac(1, 2), bs=(1.0, 1.2, 1.5, 2.0), anchor_tol: float
         rep.check_le(f"continuity {side} {frac}", max_jump, continuity_budget)
         anchor = strand_point(frac, side, SINE.b_critical, num)
         ba, _ = b_point(frac, num)
-        rep.check_le(f"critical-line anchor {side} {frac}", abs(anchor.a - ba), anchor_tol)
+        rep.check_le(f"critical-line anchor {side} {frac}", abs(anchor.a - ba), 1e-9)
     return rep
 
 
@@ -176,8 +174,7 @@ def theorem2(frac: Frac = Frac(1, 2), jmax: int = 4, num: Config = DEFAULT) -> R
     return rep
 
 
-def trichotomy(frac: Frac, b: float, jmax: int = 4, num: Config = DEFAULT, *,
-               coincide_tol: float = 1e-6) -> TrichotomyResult:
+def trichotomy(frac: Frac, b: float, jmax: int = 4, num: Config = DEFAULT) -> TrichotomyResult:
     """Classify one horizontal line against the child strands of one fraction.
 
     Strand samples use the raw-map continuation so that above the tip the
@@ -190,7 +187,7 @@ def trichotomy(frac: Frac, b: float, jmax: int = 4, num: Config = DEFAULT, *,
     psi1 = boundary("psi1", frac, b, num)
     psi2 = boundary("psi2", frac, b, num)
     allv = list(L) + list(R) + [psi1, psi2]
-    if max(allv) - min(allv) <= coincide_tol:
+    if max(allv) - min(allv) <= COINCIDE_TOL:
         case = 3
     elif psi1 < psi2:
         case = 1
@@ -205,12 +202,11 @@ def _chain_margin(values: list[float]) -> float:
 
 
 def theorem3(frac: Frac = Frac(1, 2), b: float | None = None, jmax: int = 4,
-             margin: float = 1e-9, coincide_tol: float = 1e-6,
              expect_case: int | None = None, num: Config = DEFAULT) -> Report:
     """Exactly one of the three orderings holds on each horizontal line.
 
     With b omitted, all three regimes of the given fraction are exercised:
-    below the tip, at the tip, and above it.
+    below the tip, at the tip, and above it.  Chains must be strict by 1e-9.
     """
     rep = Report("theorem3")
     if b is not None:
@@ -219,28 +215,27 @@ def theorem3(frac: Frac = Frac(1, 2), b: float | None = None, jmax: int = 4,
         tip = tip_by_width(frac, num)
         rows = [(SINE.b_critical + 0.05, 1), (tip.b, 3), (tip.b + 0.1, 2)]
     for b_row, expected in rows:
-        res = trichotomy(frac, b_row, jmax, num, coincide_tol=coincide_tol)
+        res = trichotomy(frac, b_row, jmax, num)
         rep.add(f"case at b={b_row:.6g}", res.case,
                 expected if expected is not None else res.case,
                 expected is None or res.case == expected,
                 f"psi1={res.psi1:.9g} psi2={res.psi2:.9g}")
         if res.case == 1:
             chain = list(res.L_values) + [res.psi2, res.psi1] + list(reversed(res.R_values))
-            rep.check_ge(f"strict chain (locked) b={b_row:.6g}", _chain_margin(chain), margin)
+            rep.check_ge(f"strict chain (locked) b={b_row:.6g}", _chain_margin(chain), 1e-9)
         elif res.case == 2:
             chain = list(res.R_values) + [res.psi1, res.psi2] + list(reversed(res.L_values))
-            rep.check_ge(f"strict chain (unlocked) b={b_row:.6g}", _chain_margin(chain), margin)
+            rep.check_ge(f"strict chain (unlocked) b={b_row:.6g}", _chain_margin(chain), 1e-9)
         else:
             allv = list(res.L_values) + list(res.R_values) + [res.psi1, res.psi2]
             rep.check_le(f"coincidence spread b={b_row:.6g}", max(allv) - min(allv),
-                         coincide_tol)
+                         COINCIDE_TOL)
     return rep
 
 
 def theorem4(pairs=((Frac(1, 2), Frac(1, 3)), (Frac(1, 3), Frac(2, 5))),
-             b: float | None = None, min_width: float = 1e-8,
-             num: Config = DEFAULT) -> Report:
-    """Locking of a fraction forces positive-width locking of everything higher."""
+             b: float | None = None, num: Config = DEFAULT) -> Report:
+    """Locking of a fraction forces locking of width at least 1e-8 of everything higher."""
     rep = Report("theorem4")
     for high, low in pairs:
         if not is_higher(high, low):
@@ -254,19 +249,19 @@ def theorem4(pairs=((Frac(1, 2), Frac(1, 3)), (Frac(1, 3), Frac(2, 5))),
         sec_low = section(low, b_row, num)
         rep.check_ge(f"{low} locked at b={b_row:.6g}", sec_low.locking_width, 0.0)
         sec_high = section(high, b_row, num)
-        rep.check_ge(f"width({high}) at b={b_row:.6g}", sec_high.locking_width, min_width)
+        rep.check_ge(f"width({high}) at b={b_row:.6g}", sec_high.locking_width, 1e-8)
     return rep
 
 
-def corollary1(chain=DEFAULT_CHAIN, margin: float = 1e-6, num: Config = DEFAULT) -> Report:
-    """Tip heights strictly decrease down a monotone tree path."""
+def corollary1(chain=DEFAULT_CHAIN, num: Config = DEFAULT) -> Report:
+    """Tip heights strictly decrease, by at least 1e-6, down a monotone tree path."""
     rep = Report("corollary1")
     for f1, f2 in zip(chain, chain[1:]):
         rep.add(f"{f1} higher than {f2}", 1.0 if is_higher(f1, f2) else 0.0, 1.0,
                 is_higher(f1, f2))
     heights = [tip_by_width(f, num).b for f in chain]
     rep.check_ge("tip heights strictly decreasing",
-                 _chain_margin(heights), margin,
+                 _chain_margin(heights), 1e-6,
                  detail=" > ".join(f"{h:.9g}" for h in heights))
     return rep
 
@@ -302,16 +297,15 @@ def theorem5(frac: Frac = Frac(1, 2), jmax: int = 6, irr_depth: int = 5,
     return rep
 
 
-def schwarzian_negativity(bs=(1.2, 2.0), n_grid: int = 1024,
-                          fprime_floor: float = 1e-6, num: Config = DEFAULT) -> Report:
-    """The Schwarzian derivative stays negative away from turning points (``num`` unused)."""
+def schwarzian_negativity(bs=(1.2, 2.0), n_grid: int = 1024, num: Config = DEFAULT) -> Report:
+    """The Schwarzian derivative stays negative where |F'| > 1e-6 (``num`` unused)."""
     rep = Report("schwarzian")
     for b in bs:
         params = FamilyParams(0.0, b)
         worst = -math.inf
         for i in range(n_grid):
             x = i / n_grid
-            if abs(SINE.derivative(params, x, 1)) > fprime_floor:
+            if abs(SINE.derivative(params, x, 1)) > 1e-6:
                 worst = max(worst, SINE.schwarzian(params, x))
         rep.check_le(f"max S at b={b}", worst, -1e-12,
                      detail=f"grid of {n_grid} points")
@@ -352,8 +346,12 @@ def run_suite(name: str, num: Config = DEFAULT, /, **params) -> Report:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
     suite = SUITES[name]
-    accepted = set(inspect.signature(suite).parameters) - {"num"}
-    if not accepted.issuperset(params):
-        raise ValueError(f"suite {name!r} has no parameter {sorted(set(params) - accepted)}; "
-                         f"available: {sorted(accepted)}")
+    defaults = {k: p.default for k, p in inspect.signature(suite).parameters.items()
+                if k != "num"}
+    if not defaults.keys() >= params.keys():
+        raise ValueError(f"suite {name!r} has no parameter {sorted(params.keys() - defaults)}; "
+                         f"available: {sorted(defaults)}")
+    # a scalar where the suite samples a tuple is a one-element sample set
+    params = {k: (v,) if isinstance(defaults[k], tuple) and not isinstance(v, tuple) else v
+              for k, v in params.items()}
     return suite(num=num, **params)

@@ -102,13 +102,16 @@ def _circle_dist(x: float, y: float) -> float:
     return min(d, 1.0 - d)
 
 
+def strand_sides(frac: Frac) -> tuple[str, ...]:
+    """The sides whose strand ``frac`` has: both, less L of 0/1 and R of 1/1."""
+    return ("R",) if frac.p == 0 else ("L",) if frac.p == frac.q else ("L", "R")
+
+
 def _check_side(frac: Frac, side: str) -> None:
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    if side == "L" and frac == Frac(0, 1):
-        raise ValueError("the left strand of 0/1 is not defined")
-    if side == "R" and frac == Frac(1, 1):
-        raise ValueError("the right strand of 1/1 is not defined")
+    if side not in strand_sides(frac):
+        raise ValueError(f"the {dict(L='left', R='right')[side]} strand of {frac} is not defined")
 
 
 def _strand_ends(frac: Frac, side: str, lm) -> tuple[float, float, BoundSide]:

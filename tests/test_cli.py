@@ -1,21 +1,32 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from fareyweb import cli
+from fareyweb.lift import SINE, BoundSide, FamilyParams
 
 BASE = [sys.executable, "-m", "fareyweb"]
+# the child imports the package from this checkout whether or not it is installed
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def run(args):
+    return subprocess.run(BASE + list(args), capture_output=True, env=ENV)
 
 
 def run_cli(*args, expect=0):
-    proc = subprocess.run(BASE + list(args), capture_output=True)
+    proc = run(args)
     assert proc.returncode == expect, proc.stderr.decode()
     return proc
 
 
 def test_usage_error_exits_2():
-    proc = subprocess.run(BASE + ["tongue"], capture_output=True)
+    proc = run(["tongue"])
     assert proc.returncode == 2
 
 
@@ -30,9 +41,17 @@ def test_unknown_config_key_exits_1():
         (["--set", "scan_grid_base=0", *rotnum], b"scan_grid_base"),
         (["--set", "scan_grid_per_q=0", *rotnum], b"scan_grid_per_q"),
         (["--set", "snap_qmax=0", *rotnum], b"snap_qmax"),
+        # float fields must be finite: a NaN tolerance ends every bisection at
+        # once, an infinite one skips it
+        (["--set", "solver_tol=nan", "tongue", "--frac", "1/2", "--b", "1:1.5:3"],
+         b"solver_tol"),
+        (["--set", "solver_tol=inf", "bpoint", "--frac", "3/8"], b"solver_tol"),
+        (["--set", "b_step=nan", *rotnum], b"b_step"),
+        (["--set", "b_ceiling=inf", *rotnum], b"b_ceiling"),
+        (["--set", "scan_tol=-inf", *rotnum], b"scan_tol"),
     ]
     for args, needle in cases:
-        proc = subprocess.run(BASE + args, capture_output=True)
+        proc = run(args)
         assert proc.returncode == 1, args
         assert needle in proc.stderr, (args, proc.stderr)
 
@@ -48,7 +67,7 @@ def test_rotnum_tol_is_the_applied_rot_tol():
     doc = json.loads(run_cli("rotnum", "--a", "0.3", "--b", "0.5", "--tol", "1e-3").stdout)
     assert doc["config"]["rot_tol"] == 1e-3
     assert doc["lower"]["iterations"] == 2000
-    for bad in ("0", "-1"):
+    for bad in ("0", "-1", "nan", "inf"):
         proc = run_cli("rotnum", "--a", "0.3", "--b", "0.5", "--tol", bad, expect=1)
         assert b"rot_tol" in proc.stderr
 
@@ -143,12 +162,22 @@ def test_scan_lock_half_matches_section_edges():
     assert idx == list(range(idx[0], idx[-1] + 1))
 
 
-def test_scan_parallel_matches_serial():
-    args = ["scan", "--a", "0:0.5:6", "--b", "1.1:1.3:3", "--mode", "width"]
-    serial = run_cli(*args).stdout.split(b"\n", 1)[1]
-    parallel = run_cli("--set", "workers=2", *args).stdout.split(b"\n", 1)[1]
-    # identical rows in identical order; only the echoed config differs
-    assert serial == parallel
+def test_scan_width_cells_match_scalar_orbits(tmp_path):
+    # b rows below, on and above the critical line
+    out = tmp_path / "width.csv"
+    assert cli.main(["scan", "--a=-0.5:1.5:5", "--b", "0:3:7", "--mode", "width",
+                     "--out", str(out)]) == 0
+    n = 2000  # 2 / scan_tol at the default configuration
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 35
+    for a, b, value in rows:
+        params = FamilyParams(float(a), float(b))
+        up = SINE.iterate(params, BoundSide.UPPER, 0.0, n)
+        low = SINE.iterate(params, BoundSide.LOWER, 0.0, n)
+        assert float(value) == max(0.0, up / n - low / n), (a, b)
+    # a non-finite bound would fill the raster with NaN cells
+    for bad in ("nan:1:3", "0:inf:3"):
+        assert cli.main(["scan", "--a", bad, "--b", "1:2:2", "--out", str(out)]) == 1
 
 
 def test_scan_pgm_header():
@@ -162,8 +191,7 @@ def test_scan_pgm_header():
 
 def test_verify_suite_exit_codes():
     run_cli("verify", "--suite", "schwarzian", expect=0)
-    proc = subprocess.run(BASE + ["verify", "--suite", "corollary1",
-                                  "--param", "chain=1/3,1/2"], capture_output=True)
+    proc = run(["verify", "--suite", "corollary1", "--param", "chain=1/3,1/2"])
     assert proc.returncode == 3
 
 
@@ -180,6 +208,21 @@ def test_verify_unknown_param_exits_1():
         assert param.split("=")[0].encode() in proc.stderr
 
 
+def test_verify_scalar_for_a_sample_set():
+    # a one-element sample set arrives from the command line as a bare value
+    proc = run_cli("verify", "--suite", "schwarzian", "--param", "bs=1.5")
+    assert b"PASS (1/1)" in proc.stdout
+    proc = run_cli("verify", "--suite", "fact1_order", "--param", "fracs=1/2",
+                   "--param", "bs=1.5")
+    assert b"PASS (5/5)" in proc.stdout
+
+
+def test_verify_untakeable_param_exits_1():
+    for suite, param in (("theorem4", "pairs=1/2,1/3"), ("theorem1", "frac=0.5")):
+        proc = run_cli("verify", "--suite", suite, "--param", param, expect=1)
+        assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+
+
 def test_verify_json_output():
     proc = run_cli("verify", "--suite", "fact9_tangency", "--json")
     doc = json.loads(proc.stdout)
@@ -188,7 +231,7 @@ def test_verify_json_output():
 
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("rot_tol = 1e-3\nworkers=1\n# comment\n")
+    cfg.write_text("rot_tol = 1e-3\nsnap_qmax=128\n# comment\n")
     out = run_cli("--config", str(cfg), "tongue", "--frac", "0/1", "--b", "0:0:1").stdout
     assert b"rot_tol=0.001" in out
 
@@ -198,23 +241,23 @@ def test_config_file_roundtrip(tmp_path):
 #: its digest here.
 GOLDEN = [
     (["--set", "rot_tol=1e-4", "rotnum", "--a", "0.3", "--b", "1.8"],
-     "36b5a03f309c6d300a246c3a385d018a36704e45ef1ec257bbfeef7de335eb1a"),
+     "b27fd9fb47ae0492c5995f19b8691b3a42f2366f651888c26f41e7fc6946e73b"),
     (["tongue", "--frac", "1/2", "--b", "1:1.5:3"],
-     "a11d8ae38b0a0911cfdcd3b5624f3edcb3372c43f3544633387b401ccb709fdf"),
+     "cba08eb420d824d3c85900b1e7321dd266e3d634e08850779f8e6822207684d4"),
     (["strand", "--frac", "3/8", "--side", "R", "--b", "1:2:5", "--method", "continued"],
-     "3982d99b4ef6a7a6392e2a368472b71374bdbfe608b3344126bbfdddee27c18a"),
+     "db53b327e4a577ce25fd1579f63f7b3e48e49fe6058108e523d0b6b4c124362f"),
     (["bpoint", "--frac", "3/8"],
-     "3c6f885147484ee1214a1fe0f51ca9b914094fdd9fe78d067c101f21cf76e50c"),
+     "031a8f2b76cda1f5dd182fed97ecaf828d9620efa480763163641620a8aae241"),
     (["--set", "b_tol=1e-8", "tip", "--frac", "1/2", "--method", "intersection"],
-     "7b32047eeab98437d54338a6062402335ccf937f96f5112cdb0e24488d6d1aab"),
+     "3c6cc0294c2f7310d45702db68a0b940dcd7f9148e72300574f10822ffad59ea"),
     (["web", "--max-level", "2", "--b", "1:1.5:5"],
-     "36206c36cb2f542db338f886d8aad8892728f2e6a16f3d1bc63c0ebeff1c7863"),
+     "e3ea7a0357fd3f465087c5dccb3b088b926bcd95681de86f31c03f2ff940db94"),
     (["scan", "--a", "0.4:0.6:5", "--b", "1.0:1.4:3", "--mode", "lock:1/2"],
-     "d74ea26c50f0765d4c7988776fa5f803748424aa9b69ab02082b2690cfd87092"),
+     "dc71bedad3b13578d72636f5702b7588b30585d1d4c5a8f0d4ea352bc4f74c6e"),
     (["scan", "--a", "0:0.5:4", "--b", "1.0:1.2:3", "--mode", "width", "--format", "pgm"],
-     "0622adae4960bff36055cf5cf30d3e6ea0f9e07df8e954a554a3a0b6d7fc60ad"),
+     "0bf1c0217203f53f978077faec8f8c57c5d7d342c8e7740589c9a13b81c28436"),
     (["verify", "--suite", "fact9_tangency", "--json"],
-     "088524db6c2eb905ad09cbfee2bfc1d6d82575a52c6a1ca7bcb1b58991803ab8"),
+     "29380822f45f0d2f778ed3c66571132ec20347ed910d552bb9e59045c293772d"),
     (["construct", "--stages", "3", "--format", "svg"],
      "31f62dc2f6547ccfc1a46c6aa1b439fad5b0d6a5c07cf3fa0ee240eb7f61a487"),
 ]

@@ -167,9 +167,28 @@ def test_iterate_lower_below_raw():
 def test_iterate_matches_array_version():
     params = FamilyParams(0.21, 1.9)
     xs = np.linspace(0, 1, 7, endpoint=False)
-    batch = SINE.iterate_array(params, BoundSide.LOWER, xs, 9)
-    single = [SINE.iterate(params, BoundSide.LOWER, float(x), 9) for x in xs]
-    assert np.allclose(batch, single, atol=1e-12)
+    for side in BoundSide:
+        batch = SINE.iterate_array(params, side, xs, 9)
+        single = [SINE.iterate(params, side, float(x), 9) for x in xs]
+        assert batch.tolist() == single
+
+
+def test_iterate_grid_equals_scalar_iterate():
+    # a along one axis and b along the other; rows below, on, just above and
+    # well above the critical line
+    a = np.array([[-0.7, -0.1, 0.0, 0.23, 0.5, 0.91, 1.4]])
+    b = np.array([[0.0], [0.6], [0.999], [1.0], [1.0 + 1e-9], [1.3], [2.0], [3.5]])
+    xs = np.random.default_rng(7).uniform(-3.0, 3.0, (8, 7))  # starts outside [0, 1)
+    for side in BoundSide:
+        for n in (1, 7, 200):
+            grid = SINE.iterate_grid(a, b, side, xs, n)
+            assert grid.shape == (8, 7)
+            for i, j in np.ndindex(grid.shape):
+                params = FamilyParams(float(a[0, j]), float(b[i, 0]))
+                assert grid[i, j] == SINE.iterate(params, side, float(xs[i, j]), n), \
+                    (side, n, i, j)
+    with pytest.raises(ValueError):
+        SINE.iterate_grid(0.0, -1.0, BoundSide.LOWER, 0.0, 3)
 
 
 def test_iterate_long_orbit_stays_reduced():

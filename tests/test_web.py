@@ -6,7 +6,7 @@ from fareyweb.config import DEFAULT
 from fareyweb.farey import Frac, child
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
 from fareyweb.tongue import boundary, tip_by_width
-from fareyweb.web import (b_point, strand_point, tip_by_intersection,
+from fareyweb.web import (b_point, strand_point, strand_sides, tip_by_intersection,
                           trace_strand, twist_cycles, verify_tip_cycle)
 
 HALF = Frac(1, 2)
@@ -44,6 +44,7 @@ def test_strand_defining_equation_residual():
 
 
 def test_strand_side_restrictions():
+    assert [strand_sides(f) for f in (ZERO, HALF, ONE)] == [("R",), ("L", "R"), ("L",)]
     with pytest.raises(ValueError):
         strand_point(ZERO, "L", 1.5)
     with pytest.raises(ValueError):
