@@ -103,5 +103,8 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
     for key, value in items:
         if key not in casts:
             raise KeyError(f"unknown config key {key!r}")
-        values[key] = casts[key](value)
+        try:
+            values[key] = casts[key](value)
+        except ValueError:
+            raise ValueError(f"{key} must be {casts[key].__name__}, got {value!r}") from None
     return Config(**values)

@@ -1,12 +1,20 @@
 """Certified rotation numbers and rotation intervals.
 
-For a non-decreasing degree-one lift the displacement d = F^n(x) - x of any
-single orbit pins the rotation number inside [(d - 1)/n, (d + 1)/n], so an
-enclosure of width 2/n comes for free with n iterations and is unconditionally
-valid.  The rotation interval of the full family map is the interval between
-the rotation numbers of its lower and upper monotone bounds, computed the same
-way, with exact rational endpoints recovered by a sign test on the q-step
-displacement whenever a unique simple rational sits inside an enclosure.
+For a non-decreasing degree-one lift F two certificates bound the rotation
+number rho:
+
+* an orbit: the displacement d = F^n(x) - x of any single orbit pins rho
+  inside [(d - 1)/n, (d + 1)/n], so n iterations give an enclosure of width
+  2/n (``rho_monotone``, for any monotone callable);
+* a Farey test: F^q(0) >= p implies rho >= p/q and F^q(0) <= p implies
+  rho <= p/q, for the cost of q map steps.
+
+The rotation interval of the family map runs from the rotation number of its
+lower monotone bound to that of its upper one.  ``rot_interval`` encloses each
+by a Stern-Brocot descent of Farey tests, which ends on a pair of certified
+Farey neighbours p/q < p'/q' with 1/(q q') <= rot_tol.  An exact rational
+comes only from a strict two-sided sign test of the q-step displacement
+(``_try_snap``), which finds a periodic orbit of type p/q.
 """
 
 from __future__ import annotations
@@ -17,12 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Config
-from .farey import Frac, simplest_in_interval
+from .farey import Frac
 from .lift import SINE, BoundSide, FamilyParams
 from .solvers import golden_max, golden_min
 
 #: lock_status reports displacement extrema within this of zero as uncertain.
 LOCK_BAND = 1e-11
+#: A Farey test with |F^q(0) - p| <= ROUND_BAND * (q + |p|) is a tie, not a
+#: certificate: it covers the rounding of q reduced steps and of the carry.
+ROUND_BAND = 1e-13
+#: A run of this many moves toward one node may hand over to ``_try_snap``.
+SNAP_RUN = 8
+#: Cost of one grid point-step of ``_try_snap`` in scalar map steps (0.05-0.12
+#: measured for q >= 10 at the default grid).
+GRID_STEP_COST = 0.1
 
 
 @dataclass(frozen=True)
@@ -31,7 +47,7 @@ class Enclosure:
 
     lo: float
     hi: float
-    iterations: int = 0
+    iterations: int = 0  # scalar map steps of its orbit or Farey tests
     exact: tuple[int, int] | None = None  # snapped rational (num, den), num signed
 
     def __post_init__(self):
@@ -200,23 +216,14 @@ def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
     return LockStatus("uncertain", frac)
 
 
-def _try_snap(enc: Enclosure, params: FamilyParams, side: BoundSide,
+def _try_snap(params: FamilyParams, side: BoundSide, p: int, q: int,
               num: Config) -> tuple[int, int] | None:
-    """Exact rational for an enclosure, or None.
+    """(p, q) when rho = p/q is certified, else None.
 
-    Requires a unique simplest rational inside the enclosure and a strict
-    two-sided sign straddle of the q-step displacement, so a rational is never
-    reported on proximity alone.
+    Requires a strict two-sided sign straddle of the q-step displacement: the
+    displacement then has a zero, a periodic orbit of type p/q, so a rational
+    is never reported on proximity alone.
     """
-    k0 = math.floor(enc.lo)
-    candidates: set[tuple[int, int]] = set()
-    for k in (k0, k0 + 1):
-        c = simplest_in_interval(enc.lo - k, enc.hi - k, qmax=num.snap_qmax)
-        if c is not None:
-            candidates.add((c.p + k * c.q, c.q))
-    if len(candidates) != 1:
-        return None
-    p, q = candidates.pop()
     margin = 1e-12
     ext = _disp_extremum(params, side, p, q, "both", SINE, num.grid, 1e-13, band=margin)
     if ext.minimum <= -margin and ext.maximum >= margin:
@@ -224,26 +231,114 @@ def _try_snap(enc: Enclosure, params: FamilyParams, side: BoundSide,
     return None
 
 
+def _descend(params: FamilyParams, side: BoundSide, num: Config, snap: bool) -> Enclosure:
+    """Enclosure of the rotation number of one bound by Farey descent.
+
+    Nodes are integer pairs (p, q).  From the integer bracket around F(0) each
+    run tests the nodes base + j * target (j = 1, 2, 4, ... then bisection on
+    j) until it leaves the bracket side it moves along; consecutive nodes of a
+    run are Farey neighbours.  The descent stops at width rot_tol or when the
+    next test would exceed rot_max_iter map steps.  A long run toward a node
+    of small q hands that node to ``_try_snap`` when the grid pass is cheaper
+    than the gallop it saves; so does a tie, which otherwise ends the descent
+    on the bracket holding the tied node.
+    """
+    spent = 1
+    tried = set()
+
+    def sign(p: int, q: int) -> int:
+        nonlocal spent
+        spent += q
+        g = SINE.iterate(params, side, 0.0, q) - p
+        if abs(g) <= ROUND_BAND * (q + abs(p)):
+            return 0
+        return 1 if g > 0 else -1
+
+    def snapped(node) -> Enclosure | None:
+        if not snap or node[1] > num.snap_qmax or node in tried:
+            return None
+        tried.add(node)
+        hit = _try_snap(params, side, *node, num)
+        return None if hit is None else Enclosure(hit[0] / hit[1], hit[0] / hit[1], spent,
+                                                  exact=hit)
+
+    def narrow(lo, hi) -> bool:
+        return hi[0] * lo[1] - lo[0] * hi[1] <= num.rot_tol * (lo[1] * hi[1])
+
+    def finish(lo, hi, tie=None) -> Enclosure:
+        # a tie is the only candidate; otherwise the simplest rational in the
+        # bracket, which is its endpoint of smaller q
+        return (snapped(tie or min(lo, hi, key=lambda n: n[1]))
+                or Enclosure(lo[0] / lo[1], hi[0] / hi[1], spent))
+
+    v = SINE.iterate(params, side, 0.0, 1)
+    n = round(v)
+    if abs(v - n) <= ROUND_BAND * (1 + abs(n)):
+        return finish((n - 1, 1), (n + 1, 1), (n, 1))
+    lo, hi = (math.floor(v), 1), (math.floor(v) + 1, 1)
+    while not narrow(lo, hi):
+        m = (lo[0] + hi[0], lo[1] + hi[1])
+        if spent + m[1] > num.rot_max_iter:
+            break
+        s = sign(*m)
+        if s == 0:
+            return finish(lo, hi, m)
+        lo, hi = (m, hi) if s > 0 else (lo, m)
+        # the run moves toward target while the sign repeats
+        up = s > 0
+        base, target = (lo, hi) if up else (hi, lo)
+        base = (base[0] - target[0], base[1] - target[1])
+
+        def node(j: int) -> tuple[int, int]:
+            return (base[0] + j * target[0], base[1] + j * target[1])
+
+        # the first j whose node and target are neighbours rot_tol apart
+        j_stop = max(1, math.ceil((1.0 / (num.rot_tol * target[1]) - base[1]) / target[1]))
+        while num.rot_tol * (node(j_stop)[1] * target[1]) < 1.0:
+            j_stop += 1
+        j_good, j_bad = 1, None
+        while not narrow(lo, hi):
+            if j_bad is None:
+                j = min(2 * j_good, j_stop)
+            elif j_bad - j_good > 1:
+                j = (j_good + j_bad) // 2
+            else:
+                break
+            c = node(j)
+            if spent + c[1] > num.rot_max_iter:
+                return finish(lo, hi)
+            s = sign(*c)
+            if s == 0:
+                return finish(lo, hi, c)
+            lo, hi = (c, hi) if s > 0 else (lo, c)
+            if (s > 0) != up:
+                j_bad = j
+                continue
+            j_good = j
+            if j_bad is None and j >= SNAP_RUN:
+                # a long run hints at a lock at target; without the sign test
+                # the gallop creeps toward it until rot_tol
+                saved = min(node(j_stop)[1], num.rot_max_iter - spent)
+                grid = num.grid_base + num.grid_per_q * target[1]
+                hit = GRID_STEP_COST * grid * target[1] < saved and snapped(target)
+                if hit:
+                    return hit
+    return finish(lo, hi)
+
+
 def rot_interval(params: FamilyParams, num: Config = DEFAULT, *,
                  snap: bool = True) -> RotationInterval:
     """Rotation interval [rho(lower bound), rho(upper bound)] of the family map.
 
-    Each endpoint is enclosed by one orbit of 2/rot_tol steps (capped at
-    ``rot_max_iter``) from 0.
+    Each endpoint is enclosed by a Farey descent (``_descend``) to width
+    rot_tol within rot_max_iter map steps; with ``snap`` an endpoint certified
+    to be a rational p/q is returned exactly.  Up to the critical line both
+    bounds are the map itself and one descent serves both.
     """
-    n = _orbit_steps(num.rot_tol, num.rot_max_iter)
-    sides = {}
-    for side in (BoundSide.LOWER, BoundSide.UPPER):
-        d = SINE.iterate(params, side, 0.0, n)
-        enc = Enclosure((d - 1.0) / n, (d + 1.0) / n, n)
-        if snap:
-            hit = _try_snap(enc, params, side, num)
-            if hit is not None:
-                p, q = hit
-                v = p / q
-                enc = Enclosure(v, v, enc.iterations, exact=(p, q))
-        sides[side] = enc
-    return RotationInterval(sides[BoundSide.LOWER], sides[BoundSide.UPPER])
+    lower = _descend(params, BoundSide.LOWER, num, snap)
+    if params.b <= SINE.b_critical:
+        return RotationInterval(lower, lower)
+    return RotationInterval(lower, _descend(params, BoundSide.UPPER, num, snap))
 
 
 def orbit_averages(params: FamilyParams, starts: np.ndarray, n: int) -> np.ndarray:

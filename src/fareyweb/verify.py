@@ -79,9 +79,10 @@ class Report:
             "suite": self.suite,
             "passed": self.passed,
             "summary": self.summary,
+            "worst_residual": self.worst_residual,
             "cases": [
                 {"label": c.label, "measured": c.measured, "threshold": c.threshold,
-                 "passed": c.passed, "detail": c.detail}
+                 "passed": c.passed, "slack": c.slack, "detail": c.detail}
                 for c in self.cases
             ],
         }

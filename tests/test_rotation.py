@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fareyweb import rotation
 from fareyweb.config import Config
 from fareyweb.farey import Frac
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
@@ -75,6 +78,65 @@ def test_snap_requires_sign_certificate():
     a_edge = b / TWO_PI  # exact right edge of the 0-locking interval
     ri = rot_interval(FamilyParams(a_edge + 1e-3, b), Config(rot_tol=1e-5))
     assert ri.lower.exact is None or ri.lower.exact != (0, 1)
+
+
+def _orbit_enclosure(params, side, n=10_000):
+    """Intersection of the (d -+ 1)/n enclosures of 8 orbits of n steps."""
+    xs = np.arange(8) / 8.0
+    d = SINE.iterate_array(params, side, xs, n) - xs
+    return float(np.max((d - 1.0) / n)), float(np.min((d + 1.0) / n))
+
+
+def _overlaps(enc, lo, hi):
+    return enc.lo <= hi + 1e-12 and enc.hi >= lo - 1e-12
+
+
+@given(st.floats(-0.5, 1.5), st.floats(0.0, 2.5))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_rot_interval_against_orbits_and_lock_status(a, b):
+    params = FamilyParams(a, b)
+    ri = rot_interval(params, Config(rot_tol=1e-4))
+    for side, enc in ((BoundSide.LOWER, ri.lower), (BoundSide.UPPER, ri.upper)):
+        assert _overlaps(enc, *_orbit_enclosure(params, side)), (side, enc)
+    for enc, other in ((ri.lower, ri.upper), (ri.upper, ri.lower)):
+        if enc.exact is None:
+            continue
+        p, q = enc.exact
+        k = p // q
+        state = lock_status(params, Frac(p - k * q, q), k, Config(q_cap=q)).state
+        if other.exact == enc.exact:
+            assert state != "not_locked", (enc, state)
+        elif not other.contains(p / q):
+            assert state != "locked", (enc, other, state)
+
+
+def test_rot_interval_cap_returns_wider_bracket():
+    params = FamilyParams(0.1234, 0.7)
+    enc = rot_interval(params, Config(rot_tol=1e-9, rot_max_iter=1000)).lower
+    assert enc.iterations <= 1000
+    assert enc.exact is None and enc.width > 1e-9
+    assert _overlaps(enc, *_orbit_enclosure(params, BoundSide.LOWER))
+
+
+def test_rot_interval_one_descent_up_to_critical_line():
+    for b in (0.0, 0.6, 1.0):
+        ri = rot_interval(FamilyParams(0.3, b), Config(rot_tol=1e-5))
+        assert ri.lower == ri.upper
+
+
+def test_tie_snaps_only_when_certified(monkeypatch):
+    # F(0) = 0 exactly: a tie at 0/1, certified by the sign test at b = 2
+    # and not for the identity map, whose displacement never leaves zero
+    assert rot_interval(FamilyParams(0.0, 2.0)).lower.exact == (0, 1)
+    ri = rot_interval(FamilyParams(0.0, 0.0))
+    assert ri.lower.exact is None and ri.lower.contains(0.0)
+    # a rigid rotation by the double nearest 1/3 ties at 1/3 after 3 steps
+    ri = rot_interval(FamilyParams(1 / 3, 0.0))
+    assert ri.lower.exact is None and ri.lower.contains(1 / 3)
+    # with the sign test refusing, the certified tie yields no rational either
+    monkeypatch.setattr(rotation, "_try_snap", lambda *args: None)
+    enc = rot_interval(FamilyParams(0.0, 2.0)).lower
+    assert enc.exact is None and enc.contains(0.0)
 
 
 def test_displacement_extrema_identity_map():
