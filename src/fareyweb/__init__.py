@@ -13,7 +13,7 @@ from .farey import (Frac, FareyNode, child, enumerate_level, is_farey_neighbor,
 from .lift import SINE, BoundSide, FamilyParams, Landmarks, SineFamily
 from .rotation import (Enclosure, LockStatus, RotationInterval,
                        displacement_extrema, lock_status, orbit_averages,
-                       rho_monotone, rot_interval)
+                       rot_interval)
 from .tongue import (Tip, TongueSection, boundary, locking_interval, section,
                      tip_by_width, trace)
 from .web import (StrandPoint, TwistCycle, b_point, strand_point,
@@ -31,7 +31,7 @@ __all__ = [
     "simplest_in_interval",
     "SINE", "BoundSide", "FamilyParams", "Landmarks", "SineFamily",
     "Enclosure", "LockStatus", "RotationInterval", "displacement_extrema",
-    "lock_status", "orbit_averages", "rho_monotone", "rot_interval",
+    "lock_status", "orbit_averages", "rot_interval",
     "Tip", "TongueSection", "boundary", "locking_interval", "section",
     "tip_by_width", "trace",
     "StrandPoint", "TwistCycle", "b_point", "strand_point",

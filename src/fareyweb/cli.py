@@ -26,7 +26,7 @@ from .config import Config, load_config
 from .errors import BracketError, ConsistencyError, TipNotFoundError
 from .farey import Frac, child, enumerate_level, level_and_path, parents, path_to_real
 from .lift import SINE, BoundSide, FamilyParams
-from .rotation import _orbit_steps, lock_status, rot_interval
+from .rotation import lock_status, rot_interval
 from .tongue import tip_by_width, trace
 from .web import b_point, strand_sides, tip_by_intersection, trace_strand
 
@@ -221,8 +221,9 @@ def _cmd_scan(args, cfg: Config) -> int:
     # raster cells run on the cheaper displacement grid
     cell = replace(cfg, grid_base=cfg.scan_grid_base, grid_per_q=cfg.scan_grid_per_q)
     if mode == "width":
-        n = _orbit_steps(cell.scan_tol, cell.rot_max_iter)
-        up, low = (SINE.iterate_grid(*np.meshgrid(a_vals, b_vals), side, 0.0, n)
+        # one orbit of n steps pins each bound's rotation number to width 2/n
+        n = min(cell.rot_max_iter, int(np.ceil(2.0 / cell.scan_tol)))
+        up, low = (SINE.iterate_grid(a_vals, np.array(b_vals)[:, None], side, 0.0, n)
                    for side in (BoundSide.UPPER, BoundSide.LOWER))
         rows = np.maximum(0.0, up / n - low / n).tolist()
     else:

@@ -42,8 +42,10 @@ class FamilyParams:
     b: float
 
     def __post_init__(self):
-        if self.b < 0:
-            raise ValueError(f"b must be non-negative, got {self.b}")
+        if not -math.inf < self.a < math.inf:
+            raise ValueError(f"a must be finite, got {self.a}")
+        if not 0 <= self.b < math.inf:
+            raise ValueError(f"b must be non-negative and finite, got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,10 @@ class SineFamily:
 
     The solvers use the shared instance ``SINE`` through degree-one ``eval``
     (accepting floats or numpy arrays), analytic ``derivative`` up to order 3,
-    ``b_critical``, per-b ``landmarks``, plateau-truncated ``bound_eval``, and
-    the compositions: scalar ``iterate`` and its array form ``iterate_grid``
-    (``iterate_array`` at one parameter pair).
+    ``b_critical``, per-b ``landmarks``, plateau-truncated ``bound_eval`` at one
+    point, and the compositions: every orbit runs either in the scalar loop of
+    ``iterate`` or in ``iterate_grid``, the one array pass, which matches it
+    bit for bit (``iterate_array`` is that pass at one parameter pair).
     """
 
     b_critical = 1.0
@@ -121,15 +124,11 @@ class SineFamily:
         lm = self.landmarks(b)
         return (lm.k_minus, lm.k, lm.k) if side is BoundSide.LOWER else (lm.c, lm.c_plus, lm.c)
 
-    def bound_eval(self, params: FamilyParams, side: BoundSide, x):
-        """Evaluate the selected map; degree one is preserved exactly."""
+    def bound_eval(self, params: FamilyParams, side: BoundSide, x: float) -> float:
+        """The selected map at one point; degree one is preserved exactly."""
         if side is BoundSide.RAW or params.b <= self.b_critical:
             return self.eval(params, x)
         lo, hi, top = self._plateau(side, params.b)
-        if isinstance(x, np.ndarray):
-            t = x - np.floor(x)
-            on_flat = (t >= lo) & (t <= hi)
-            return np.where(on_flat, self.eval(params, top), self.eval(params, t)) + (x - t)
         t = x - math.floor(x)
         return self.eval(params, top if lo <= t <= hi else t) + (x - t)
 
@@ -204,36 +203,51 @@ class SineFamily:
     def iterate_grid(self, a, b, side: BoundSide, xs, n: int) -> np.ndarray:
         """n-fold composition over arrays of a, b and starts that broadcast.
 
-        Each element equals ``iterate(FamilyParams(a, b), side, x, n)`` bit for
-        bit: every step does the scalar loop's arithmetic in the same order,
-        with the plateau edges and flat value looked up once per distinct b.
+        This is the library's one array orbit pass.  Each element equals
+        ``iterate(FamilyParams(a, b), side, x, n)`` bit for bit: every step
+        does the scalar loop's arithmetic in the same order, with the plateau
+        edges and flat value looked up once per element of b.
         """
         if n < 1:
             raise ValueError("n must be positive")
-        a, b, xs = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, xs)))
-        if np.any(b < 0):
+        a, b, xs = (np.asarray(v, dtype=float) for v in (a, b, xs))
+        if b.min(initial=0.0) < 0:
             raise ValueError(f"b must be non-negative, got {b.min()}")
+        shape = np.broadcast(a, b, xs).shape
+        # array parameters take the full shape, so each step is one contiguous loop
+        a, b = (v if v.ndim == 0 else np.broadcast_to(v, shape).copy() for v in (a, b))
         amp = b / TWO_PI
-        # the plateau [lo_edge, hi_edge] is empty where the map is raw
-        lo_edge, hi_edge = np.full(b.shape, np.inf), np.full(b.shape, -np.inf)
-        flat = np.zeros_like(b)
-        for bv in () if side is BoundSide.RAW else np.unique(b[b > self.b_critical]):
-            lo, hi, top = self._plateau(side, bv)
-            at = b == bv
-            lo_edge[at], hi_edge[at] = lo, hi
-            flat[at] = top + a[at] + amp[at] * math.sin(TWO_PI * top)
-        t = xs - np.floor(xs)
+        t = np.subtract(xs, np.floor(xs), out=np.empty(shape))
         carry = xs - t
+        # the map takes the value flat on [lo_edge, hi_edge]; raw maps have no plateau
+        plateau = side is not BoundSide.RAW and b.max(initial=0.0) > self.b_critical
+        if plateau:
+            edges = [self._plateau(side, bv) if bv > self.b_critical else (np.inf, -np.inf, 0.0)
+                     for bv in b.ravel().tolist()]
+            lo_edge, hi_edge, top = (edges[0] if b.ndim == 0 else
+                                     (np.reshape(col, b.shape) for col in zip(*edges)))
+            flat = top + a + amp * np.sin(TWO_PI * top)
+            on_flat, below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        v, step = np.empty(shape), np.empty(shape)
         for _ in range(n):
-            v = t + a + amp * np.sin(TWO_PI * t)
-            np.copyto(v, flat, where=(lo_edge <= t) & (t <= hi_edge))
-            f = np.floor(v)
-            t = v - f
-            carry += f
-            wrap = t >= 1.0
-            t[wrap] -= 1.0
-            carry[wrap] += 1.0
-        return carry + t
+            np.multiply(TWO_PI, t, out=step)
+            np.sin(step, out=step)
+            np.multiply(amp, step, out=step)
+            np.add(t, a, out=v)
+            np.add(v, step, out=v)
+            if plateau:
+                np.greater_equal(t, lo_edge, out=on_flat)
+                on_flat &= np.less_equal(t, hi_edge, out=below)
+                np.copyto(v, flat, where=on_flat)
+            np.floor(v, out=step)
+            np.subtract(v, step, out=t)
+            carry += step
+            if t.max(initial=0.0) >= 1.0:
+                wrap = t >= 1.0
+                t[wrap] -= 1.0
+                carry[wrap] += 1.0
+        carry += t
+        return carry
 
 
 #: Shared instance of the shipped family.

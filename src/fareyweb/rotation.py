@@ -5,7 +5,8 @@ number rho:
 
 * an orbit: the displacement d = F^n(x) - x of any single orbit pins rho
   inside [(d - 1)/n, (d + 1)/n], so n iterations give an enclosure of width
-  2/n (``rho_monotone``, for any monotone callable);
+  2/n (the width rasters of ``fareyweb scan``, and the end of a Farey
+  descent at a tie that no sign test certifies);
 * a Farey test: F^q(0) >= p implies rho >= p/q and F^q(0) <= p implies
   rho <= p/q, for the cost of q map steps.
 
@@ -95,49 +96,12 @@ class Extrema:
     argmax: float
 
 
-def _orbit_steps(tol: float, max_iter: int) -> int:
-    """Orbit length of an enclosure of width ``tol``: 2/tol, capped at ``max_iter``."""
-    return min(max_iter, math.ceil(2.0 / tol))
-
-
-def rho_monotone(map_fn, num: Config = DEFAULT) -> Enclosure:
-    """Enclosure of the rotation number of a non-decreasing degree-one lift.
-
-    ``map_fn`` is a scalar callable, iterated from 0.  Iteration count is
-    2/rot_tol capped at ``rot_max_iter``; when the cap binds the returned
-    enclosure is simply wider.  A coarse sample first verifies monotonicity and
-    the degree-one identity before any long iteration is spent.
-    """
-    xs = [i / 64.0 for i in range(65)]
-    vals = [map_fn(x) for x in xs]
-    for i in range(64):
-        if vals[i + 1] < vals[i] - 1e-12:
-            raise ValueError(f"map is not non-decreasing near x={xs[i]}")
-    if abs(map_fn(1.0) - (map_fn(0.0) + 1.0)) > 1e-9:
-        raise ValueError("map does not satisfy the degree-one identity")
-    n = _orbit_steps(num.rot_tol, num.rot_max_iter)
-    t = carry = 0.0
-    for _ in range(n):
-        v = map_fn(t)
-        f = math.floor(v)
-        t = v - f
-        carry += f
-        if t >= 1.0:
-            t -= 1.0
-            carry += 1.0
-    d = carry + t
-    return Enclosure((d - 1.0) / n, (d + 1.0) / n, n)
-
-
-def _disp_grid(params: FamilyParams, side: BoundSide, p: int, q: int, family,
+def _disp_grid(params: FamilyParams, side: BoundSide, p: int, q: int,
                grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Grid xs over one period and the displacement g = F^q(xs) - xs - p on it."""
     n = grid[0] + grid[1] * q
     xs = np.arange(n) / n
-    ys = xs.copy()
-    for _ in range(q):
-        ys = family.bound_eval(params, side, ys)
-    return xs, ys - xs - p
+    return xs, SINE.iterate_array(params, side, xs, q) - xs - p
 
 
 def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
@@ -149,9 +113,10 @@ def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
     the ``Extrema`` of both, refined from the same grid.  Refinement only
     moves a max up and a min down, so with a ``band`` a grid max above +band
     (grid min below -band) is returned unrefined: it already decides every
-    comparison of that extremum with 0 and +-band.
+    comparison of that extremum with 0 and +-band.  The grid pass equals
+    ``family.iterate`` (``family`` is always ``SINE``) bit for bit.
     """
-    xs, g = _disp_grid(params, side, p, q, family, grid)
+    xs, g = _disp_grid(params, side, p, q, grid)
     h = 1.0 / len(xs)
 
     def scalar(x: float) -> float:
@@ -240,8 +205,10 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config, snap: bool) -> 
     run are Farey neighbours.  The descent stops at width rot_tol or when the
     next test would exceed rot_max_iter map steps.  A long run toward a node
     of small q hands that node to ``_try_snap`` when the grid pass is cheaper
-    than the gallop it saves; so does a tie, which otherwise ends the descent
-    on the bracket holding the tied node.
+    than the gallop it saves; so does a tie.  A tie that the sign test does not
+    certify ends the descent with one orbit of n >= 2/rot_tol steps: F^n(0)
+    lies strictly between integers p < p', so rho is in [p/n, p'/n], of width
+    at most 2/n.
     """
     spent = 1
     tried = set()
@@ -268,8 +235,14 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config, snap: bool) -> 
     def finish(lo, hi, tie=None) -> Enclosure:
         # a tie is the only candidate; otherwise the simplest rational in the
         # bracket, which is its endpoint of smaller q
-        return (snapped(tie or min(lo, hi, key=lambda n: n[1]))
-                or Enclosure(lo[0] / lo[1], hi[0] / hi[1], spent))
+        hit = snapped(tie or min(lo, hi, key=lambda n: n[1]))
+        n = min(math.ceil(2.0 / num.rot_tol), num.rot_max_iter - spent)
+        if hit or tie is None or n < 1:
+            return hit or Enclosure(lo[0] / lo[1], hi[0] / hi[1], spent)
+        v = SINE.iterate(params, side, 0.0, n)
+        band = ROUND_BAND * (n + abs(v))
+        return Enclosure(max(lo[0] / lo[1], (math.ceil(v - band) - 1) / n),
+                         min(hi[0] / hi[1], (math.floor(v + band) + 1) / n), spent + n)
 
     v = SINE.iterate(params, side, 0.0, 1)
     n = round(v)
@@ -343,5 +316,4 @@ def rot_interval(params: FamilyParams, num: Config = DEFAULT, *,
 
 def orbit_averages(params: FamilyParams, starts: np.ndarray, n: int) -> np.ndarray:
     """Finite-orbit displacement averages (F^n(x) - x)/n for a batch of starts."""
-    finals = SINE.iterate_array(params, BoundSide.RAW, np.asarray(starts, dtype=float), n)
-    return (finals - starts) / n
+    return (SINE.iterate_array(params, BoundSide.RAW, starts, n) - starts) / n

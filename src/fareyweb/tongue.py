@@ -91,6 +91,7 @@ def _objective_and_bracket(kind: str, frac: Frac, b: float, num: Config,
     if kind not in _OBJECTIVES:
         raise ValueError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
     _check_cap(frac, num)
+    FamilyParams(frac.value, b)  # names a bad b before a bracket is built from it
     side, which = _OBJECTIVES[kind]
     p, q, grid = frac.p, frac.q, num.grid
 

@@ -121,6 +121,14 @@ def _strand_ends(frac: Frac, side: str, lm) -> tuple[float, float, BoundSide]:
     return lm.c_plus, lm.k_minus + frac.p, BoundSide.UPPER
 
 
+def _raw_orbit(params: FamilyParams, x: float, n: int) -> list[float]:
+    """x and its first n images under the raw map, as unreduced lift values."""
+    orbit = [x]
+    for _ in range(n):
+        orbit.append(SINE.eval(params, orbit[-1]))
+    return orbit
+
+
 def _raw_orbit_flags(frac: Frac, side: str, a: float, b: float) -> tuple[str, ...]:
     """Per-iterate avoidance/early-arrival flags along the raw orbit."""
     lm = SINE.landmarks(b)
@@ -131,9 +139,7 @@ def _raw_orbit_flags(frac: Frac, side: str, a: float, b: float) -> tuple[str, ..
     # the avoided set: (k_minus, k] for right strands, [c, c_plus) for left ones
     avoid_lo, avoid_hi = (lm.k_minus, lm.k) if side == "R" else (lm.c, lm.c_plus)
     flags = []
-    x = x0
-    for i in range(1, frac.q + 1):
-        x = SINE.eval(params, x)
+    for i, x in enumerate(_raw_orbit(params, x0, frac.q)[1:], 1):
         t = x - math.floor(x)
         flag = "ok"
         if avoid_lo + CONSTRAINT_TOL < t < avoid_hi - CONSTRAINT_TOL:
@@ -153,13 +159,8 @@ def _raw_strand_roots(frac: Frac, side: str, b: float, lo: float, hi: float,
                       xtol: float) -> list[float]:
     """All roots of the raw q-step strand equation on [lo, hi]."""
     x0, target, _ = _strand_ends(frac, side, SINE.landmarks(b))
-    p0 = FamilyParams(0.0, b)  # translation moves everything by a exactly
-    n = 8192 + 1024 * frac.q
-    a_grid = np.linspace(lo, hi, n)
-    x = np.full(n, x0)
-    for _ in range(frac.q):
-        x = SINE.eval(p0, x) + a_grid
-    g = x - target
+    a_grid = np.linspace(lo, hi, 8192 + 1024 * frac.q)
+    g = SINE.iterate_grid(a_grid, b, BoundSide.RAW, x0, frac.q) - target
 
     def scalar(a: float) -> float:
         return SINE.iterate(FamilyParams(a, b), BoundSide.RAW, x0, frac.q) - target
@@ -183,14 +184,9 @@ def _segment_is_twist(frac: Frac, side: str, a: float, b: float) -> bool:
     exactly the one continuing the strand.
     """
     params = FamilyParams(a, b)
-    x = _strand_ends(frac, side, SINE.landmarks(b))[0]
-    ts: list[float] = []
-    images: list[float] = []
-    for _ in range(frac.q):
-        t = x - math.floor(x)
-        ts.append(t)
-        images.append(SINE.eval(params, t))
-        x = SINE.eval(params, x)
+    x0 = _strand_ends(frac, side, SINE.landmarks(b))[0]
+    ts = [x - math.floor(x) for x in _raw_orbit(params, x0, frac.q - 1)]
+    images = [SINE.eval(params, t) for t in ts]
     order = sorted(range(frac.q), key=lambda i: ts[i])
     return all(images[i2] >= images[i1] - 1e-9 for i1, i2 in zip(order, order[1:]))
 
@@ -304,7 +300,7 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac,
     """
     _check_cap(frac, num)
     p, q = frac.p, frac.q
-    xs, g = _disp_grid(params, side, p, q, SINE, num.grid)
+    xs, g = _disp_grid(params, side, p, q, num.grid)
     h = 1.0 / len(xs)
 
     def scalar(x: float) -> float:
@@ -432,12 +428,7 @@ def verify_tip_cycle(tip: Tip, *, identity_tol: float = 1e-8,
 
     # the raw orbit of k_minus is the candidate cycle
     q = tip.frac.q
-    orbit = [lm.k_minus % 1.0]
-    x = lm.k_minus
-    for _ in range(q - 1):
-        x = SINE.eval(params, x)
-        orbit.append(x % 1.0)
-    pts = sorted(orbit)
+    pts = sorted(x % 1.0 for x in _raw_orbit(params, lm.k_minus, q - 1))
     gap_lo, gap_hi = lm.k_minus, lm.c_plus
     misses = all(not (gap_lo + combinatorics_tol < t < gap_hi - combinatorics_tol)
                  for t in pts)

@@ -33,9 +33,8 @@ def test_tracer_binds_every_span(tmp_path):
     assert tr.missing == []
     c = tr.counts
     for key in ("tongue.section.calls", "tongue.boundary.calls", "rotation.extremum.calls",
-                "rotation.extremum.grid_points", "lift.bound_eval.points",
-                "lift.iterate.steps", "solvers.bisect.evals", "solvers.golden.evals",
-                "web.strand_point.calls", "rotation.rot_interval.calls",
+                "rotation.extremum.grid_points", "lift.iterate.steps", "solvers.bisect.evals",
+                "solvers.golden.evals", "web.strand_point.calls", "rotation.rot_interval.calls",
                 "rotation.snap.calls", "rotation.snap.hits", "rotation.lock_status.calls",
                 "cli.scan.calls"):
         assert c[key] > 0, key

@@ -52,6 +52,12 @@ def test_unknown_config_key_exits_1():
         # a value that does not cast names its key
         (["--set", "rot_max_iter=inf", *rotnum], b"rot_max_iter"),
         (["--set", "q_cap=1e3", *rotnum], b"q_cap"),
+        # non-finite parameters name their field
+        (["rotnum", "--a", "inf", "--b", "0.5"], b"a must be finite"),
+        (["rotnum", "--a", "nan", "--b", "0.5"], b"a must be finite"),
+        (["rotnum", "--a", "0.3", "--b", "nan"], b"b must be non-negative and finite"),
+        (["verify", "--suite", "fact9_tangency", "--param", "b=nan"],
+         b"b must be non-negative and finite"),
     ]
     for args, needle in cases:
         proc = run(args)

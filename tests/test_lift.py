@@ -16,6 +16,14 @@ def test_eval_examples():
     assert abs(SINE.eval(FamilyParams(0, 1), 0.5) - 0.5) < 1e-15
 
 
+def test_family_params_rejects_non_finite():
+    for a, b, field in ((math.inf, 0.5, "a"), (-math.inf, 0.5, "a"), (math.nan, 0.5, "a"),
+                        (0.3, math.nan, "b"), (0.3, math.inf, "b"), (0.3, -1.0, "b")):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FamilyParams(a, b)
+    assert FamilyParams(-1e300, 0.0).b == 0.0
+
+
 def test_eval_accepts_arrays():
     xs = np.linspace(0, 2, 17)
     params = FamilyParams(0.3, 1.4)
@@ -91,22 +99,22 @@ def test_bounds_sandwich_and_monotone(b):
     params = FamilyParams(0.37, b)
     xs = np.linspace(0, 1, 4096, endpoint=False)
     raw = SINE.eval(params, xs)
-    low = SINE.bound_eval(params, BoundSide.LOWER, xs)
-    up = SINE.bound_eval(params, BoundSide.UPPER, xs)
+    low = SINE.iterate_array(params, BoundSide.LOWER, xs, 1)
+    up = SINE.iterate_array(params, BoundSide.UPPER, xs, 1)
     assert np.all(low <= raw + 1e-14)
     assert np.all(raw <= up + 1e-14)
     assert np.all(np.diff(low) >= -1e-12)
     assert np.all(np.diff(up) >= -1e-12)
     # degree one survives truncation
-    assert np.allclose(SINE.bound_eval(params, BoundSide.LOWER, xs + 1.0), low + 1.0,
+    assert np.allclose(SINE.iterate_array(params, BoundSide.LOWER, xs + 1.0, 1), low + 1.0,
                        atol=1e-12)
 
 
 def test_bound_translation_in_a():
     xs = np.linspace(0, 1, 513)
     for side in (BoundSide.LOWER, BoundSide.UPPER):
-        shifted = SINE.bound_eval(FamilyParams(0.4, 1.8), side, xs)
-        base = SINE.bound_eval(FamilyParams(0.0, 1.8), side, xs)
+        shifted = SINE.iterate_array(FamilyParams(0.4, 1.8), side, xs, 1)
+        base = SINE.iterate_array(FamilyParams(0.0, 1.8), side, xs, 1)
         assert np.allclose(shifted, base + 0.4, atol=1e-14)
 
 
@@ -124,8 +132,8 @@ def test_delta_matches_grid_supremum():
     for b in (1.4, 2.2):
         params = FamilyParams(0.0, b)
         xs = np.linspace(0, 1, 20000, endpoint=False)
-        gap = (SINE.bound_eval(params, BoundSide.UPPER, xs)
-               - SINE.bound_eval(params, BoundSide.LOWER, xs))
+        gap = (SINE.iterate_array(params, BoundSide.UPPER, xs, 1)
+               - SINE.iterate_array(params, BoundSide.LOWER, xs, 1))
         assert abs(gap.max() - SINE.delta(b)) < 1e-9
 
 

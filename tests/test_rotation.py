@@ -6,42 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fareyweb import rotation
-from fareyweb.config import Config
+from fareyweb.config import DEFAULT, Config
 from fareyweb.farey import Frac
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
 from fareyweb.rotation import (displacement_extrema, lock_status,
-                               orbit_averages, rho_monotone, rot_interval)
-
-
-def test_rho_rigid_rotation():
-    enc = rho_monotone(lambda x: x + 1/3, Config(rot_tol=1e-6))
-    assert enc.contains(1/3)
-    assert enc.width <= 1.001e-6
+                               orbit_averages, rot_interval)
 
 
 def test_rho_fixed_point_family():
     # sin vanishes at 0, so a = 0 pins a fixed point and rho = 0
-    enc = rho_monotone(lambda x: SINE.eval(FamilyParams(0.0, 1.0), x), Config(rot_tol=1e-4))
-    assert enc.contains(0.0)
-
-
-def test_rho_width_bound_and_cap():
-    enc = rho_monotone(lambda x: x + 0.137, Config(rot_tol=1e-9, rot_max_iter=10000))
-    assert enc.iterations == 10000
-    assert abs(enc.width - 2.0 / 10000) < 1e-12
-    assert enc.contains(0.137)
-
-
-def test_rho_rejects_non_monotone():
-    with pytest.raises(ValueError):
-        rho_monotone(lambda x: SINE.eval(FamilyParams(0.0, 1.8), x), Config(rot_tol=1e-3))
+    ri = rot_interval(FamilyParams(0.0, 1.0), Config(rot_tol=1e-4))
+    assert ri.lower.exact == ri.upper.exact == (0, 1)
 
 
 def test_rho_monotone_in_translation():
-    encs = [rho_monotone(lambda x, a=a: SINE.bound_eval(FamilyParams(a, 1.6), BoundSide.LOWER, x),
-                         Config(rot_tol=1e-4)) for a in (0.1, 0.2, 0.3)]
+    # the rotation number of the lower bound is non-decreasing in a
+    encs = [rot_interval(FamilyParams(a, 1.6), Config(rot_tol=1e-4), snap=False).lower
+            for a in (0.1, 0.2, 0.3)]
     for e1, e2 in zip(encs, encs[1:]):
         assert e2.lo >= e1.lo - 1e-4
+        assert e2.hi >= e1.lo
 
 
 def test_rot_interval_invertible_is_degenerate():
@@ -98,6 +82,8 @@ def test_rot_interval_against_orbits_and_lock_status(a, b):
     ri = rot_interval(params, Config(rot_tol=1e-4))
     for side, enc in ((BoundSide.LOWER, ri.lower), (BoundSide.UPPER, ri.upper)):
         assert _overlaps(enc, *_orbit_enclosure(params, side)), (side, enc)
+        # hi - lo rounds: a bracket of exact width 1e-4 reads 1.0000000000000286e-4
+        assert enc.exact is not None or enc.width <= 1e-4 + 1e-15, (side, enc)
     for enc, other in ((ri.lower, ri.upper), (ri.upper, ri.lower)):
         if enc.exact is None:
             continue
@@ -126,17 +112,34 @@ def test_rot_interval_one_descent_up_to_critical_line():
 
 def test_tie_snaps_only_when_certified(monkeypatch):
     # F(0) = 0 exactly: a tie at 0/1, certified by the sign test at b = 2
-    # and not for the identity map, whose displacement never leaves zero
+    # and not for the identity map, whose displacement never leaves zero;
+    # an uncertified tie still ends at width rot_tol around its node
+    tol = DEFAULT.rot_tol
     assert rot_interval(FamilyParams(0.0, 2.0)).lower.exact == (0, 1)
     ri = rot_interval(FamilyParams(0.0, 0.0))
-    assert ri.lower.exact is None and ri.lower.contains(0.0)
+    assert ri.lower.exact is None and ri.lower.contains(0.0) and ri.lower.width <= tol
     # a rigid rotation by the double nearest 1/3 ties at 1/3 after 3 steps
     ri = rot_interval(FamilyParams(1 / 3, 0.0))
-    assert ri.lower.exact is None and ri.lower.contains(1 / 3)
+    assert ri.lower.exact is None and ri.lower.contains(1 / 3) and ri.lower.width <= tol
     # with the sign test refusing, the certified tie yields no rational either
     monkeypatch.setattr(rotation, "_try_snap", lambda *args: None)
     enc = rot_interval(FamilyParams(0.0, 2.0)).lower
-    assert enc.exact is None and enc.contains(0.0)
+    assert enc.exact is None and enc.contains(0.0) and enc.width <= tol
+    # under a step cap the closing orbit is shorter and the enclosure wider
+    enc = rot_interval(FamilyParams(0.0, 0.0), Config(rot_max_iter=1000)).lower
+    assert enc.iterations == 1000 and enc.contains(0.0) and tol < enc.width <= 2 / 999
+
+
+@pytest.mark.parametrize("side", list(BoundSide))
+def test_disp_grid_equals_scalar_iterate(side):
+    # the grid pass and golden refinement compare values from one arithmetic
+    for b in (0.6, 1.0, 1.8):
+        params = FamilyParams(0.37, b)
+        for q in (1, 2, 5, 13):
+            xs, g = rotation._disp_grid(params, side, 2, q, DEFAULT.grid)
+            assert len(xs) == DEFAULT.grid[0] + DEFAULT.grid[1] * q
+            want = [SINE.iterate(params, side, x, q) - x - 2 for x in xs.tolist()]
+            assert g.tolist() == want, (b, q)
 
 
 def test_displacement_extrema_identity_map():
