@@ -139,6 +139,8 @@ def _cmd_bpoint(args, cfg: Config) -> int:
 
 
 def _cmd_web(args, cfg: Config) -> int:
+    if args.max_level < 0:
+        raise ValueError("--max-level must be non-negative")
     b_lo, b_hi, n = _parse_range(args.b, "--b")
     fracs: list[Frac] = []
     for lvl in range(args.max_level + 1):
@@ -404,8 +406,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_ranges(argv: list[str]) -> list[str]:
+    """Joins ``--b -1:1:3`` into ``--b=-1:1:3``; argparse reads -1:1:3 as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--a", "--b") and arg.startswith("-") and ":" in arg:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(_attach_ranges(sys.argv[1:] if argv is None else argv))
+    if args.command == "farey":
+        need = "omega" if args.op == "path" else "frac"
+        if getattr(args, need) is None:
+            parser.error(f"farey --op {args.op} needs --{need}")
     try:
         cfg = load_config(args.config, args.overrides)
         return args.fn(args, cfg)

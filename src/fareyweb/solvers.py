@@ -1,8 +1,9 @@
 """Bracketed scalar solvers.
 
-Everything here assumes a validated bracket, so results are certified up to
-the requested x tolerance: bisection never leaves the initial interval and
-golden-section refinement never leaves its cell.
+Everything here works inside a given bracket, so results are certified up
+to the requested x tolerance: bisection and the root-order search never probe
+outside the initial interval and golden-section refinement never leaves its
+cell.
 """
 
 from __future__ import annotations
@@ -14,35 +15,12 @@ from .errors import BracketError
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 
 
-def open_bracket(f, lo: float, hi: float, f_lo: float | None = None,
-                 f_hi: float | None = None) -> tuple[float, float]:
-    """Validated bisection bracket for f(lo) <= 0 <= f(hi).
-
-    End values not given are evaluated, lo first.  An end where f vanishes
-    collapses the bracket onto it.
-    """
-    if not lo <= hi:
-        raise BracketError(f"empty bracket [{lo}, {hi}]")
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
-    if f_lo == 0.0:
-        return lo, lo
-    if f_hi == 0.0:
-        return hi, hi
-    return lo, hi
-
-
 def bisect_bracket(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     """Bisect an open bracket until it is no wider than xtol; returns that bracket.
 
     Bisection also stops when the midpoint is no longer a new float, and a
     zero of f at a midpoint collapses the bracket onto it.  The root is the
-    midpoint of the returned bracket, and narrowing in stages to a final xtol
-    ends on the same bracket as narrowing to it at once.
+    midpoint of the returned bracket.
     """
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
@@ -63,10 +41,57 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-12,
     """Root of a continuous f on [lo, hi] with f(lo) <= 0 <= f(hi).
 
     Plain bisection: robust for the piecewise-smooth objectives used
-    throughout (displacement extrema, plateau-truncated iterates).
+    throughout (displacement extrema, plateau-truncated iterates).  End values
+    not given are evaluated, lo first; an end where f vanishes is the root.
     """
-    lo, hi = bisect_bracket(f, *open_bracket(f, lo, hi, f_lo, f_hi), xtol)
+    if not lo <= hi:
+        raise BracketError(f"empty bracket [{lo}, {hi}]")
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
+    if f_lo > 0.0 or f_hi < 0.0:
+        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    lo, hi = bisect_bracket(f, lo, hi, xtol)
     return 0.5 * (lo + hi)
+
+
+def root_order(f1, f2, lo: float, hi: float, x0: float, step: float,
+               xtol: float) -> tuple[float, float]:
+    """Sign of r1 - r2 for the roots of two increasing functions, and the x that decides it.
+
+    f1(x) >= 0 iff x >= r1 and f2(x) <= 0 iff x <= r2, so at an x between the
+    roots both tests hold (-1.0) or neither does (+1.0).  Otherwise both roots
+    lie on one side of x: from x0 the search gallops toward them by ``step``,
+    doubling up to the end of [lo, hi], and bisects between its last two
+    probes.  Roots within xtol of each other give 0.0 and the midpoint of
+    their bracket; roots beyond [lo, hi] raise BracketError.
+    """
+    found = []
+
+    def probe(x: float) -> float:
+        """-1 below both roots, +1 above both, 0 between them (kept in found)."""
+        above1, below2 = f1(x) >= 0.0, f2(x) <= 0.0
+        if above1 == below2:
+            found.append((-1.0 if above1 else 1.0, x))
+            return 0.0
+        return 1.0 if above1 else -1.0
+
+    x = min(max(x0, lo), hi)
+    side = s = probe(x)
+    x_prev, end = x, lo if side > 0.0 else hi
+    while s == side and not found:
+        if x == end:
+            raise BracketError(f"both roots lie beyond {end} in [{lo}, {hi}]")
+        x_prev, x, step = x, min(max(x - side * step, lo), hi), 2.0 * step
+        s = probe(x)
+    if not found:
+        lo, hi = bisect_bracket(probe, *sorted((x_prev, x)), xtol)
+    return found[0] if found else (0.0, 0.5 * (lo + hi))
 
 
 def golden_min(f, lo: float, hi: float, xtol: float = 1e-13) -> tuple[float, float]:

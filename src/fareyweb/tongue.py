@@ -23,7 +23,7 @@ from .errors import ConsistencyError, TipNotFoundError
 from .farey import Frac
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
 from .rotation import _check_cap, _disp_extremum
-from .solvers import bisect_bracket, bisect_root, open_bracket
+from .solvers import bisect_root, root_order
 
 #: objective -> (map side, which extremum of the displacement must vanish)
 _OBJECTIVES = {
@@ -78,15 +78,12 @@ def _default_bracket(frac: Frac, b: float) -> tuple[float, float]:
     return v - r, v + r
 
 
-def _objective_and_bracket(kind: str, frac: Frac, b: float, num: Config,
-                           bracket: tuple[float, float] | None):
-    """The objective of ``kind`` at b and where its bisection starts.
+def _objective(kind: str, frac: Frac, b: float, num: Config):
+    """The increasing function of a whose root is the ``kind`` boundary at b.
 
-    Returns (objective, lo, hi, f_lo, f_hi): the ``bracket`` hint with its end
-    values when it straddles the root, else the certified default bracket with
-    its end values not yet evaluated (None).  The objective is exact only in
-    its sign, which is all bisection reads: a grid extremum that already has
-    the sign refinement would give is returned unrefined.
+    It is exact only in its sign, which is all bisection reads: a grid
+    extremum that already has the sign refinement would give is returned
+    unrefined.
     """
     if kind not in _OBJECTIVES:
         raise ValueError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
@@ -99,18 +96,13 @@ def _objective_and_bracket(kind: str, frac: Frac, b: float, num: Config,
         return _disp_extremum(FamilyParams(a, b), side, p, q, which, SINE, grid, 1e-13,
                               band=0.0)[0]
 
-    if bracket is not None:
-        lo, hi = bracket
-        f_lo, f_hi = objective(lo), objective(hi)
-        if f_lo <= 0.0 <= f_hi:
-            return objective, lo, hi, f_lo, f_hi
-    return (objective, *_default_bracket(frac, b), None, None)
+    return objective
 
 
 def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT) -> float:
     """The unique a at which the selected displacement extremum vanishes."""
-    objective, lo, hi, _, _ = _objective_and_bracket(kind, frac, b, num, None)
-    return bisect_root(objective, lo, hi, num.solver_tol)
+    return bisect_root(_objective(kind, frac, b, num), *_default_bracket(frac, b),
+                       num.solver_tol)
 
 
 def section(frac: Frac, b: float, num: Config = DEFAULT) -> TongueSection:
@@ -170,15 +162,27 @@ def trace(frac: Frac, b_lo: float, b_hi: float, steps: int, num: Config = DEFAUL
                   b_lo, b_hi, steps, 0.02, continuity_budget)
 
 
-def _first_crossing(f, num: Config, full_scan: bool, what: str) -> tuple[float, tuple[float, ...]]:
-    """Lowest b above the critical line where f turns from negative to non-negative.
+def _first_crossing(objectives, frac: Frac, num: Config, full_scan: bool,
+                    what: str) -> tuple[float, tuple[float, ...]]:
+    """Lowest b above the critical line where the two roots of ``objectives(b)`` meet.
 
-    Coarse upward scan in steps of ``b_step`` to the first sign change, then
-    bisection to ``b_tol``.  Returns that b and, with ``full_scan``, the
-    midpoints of the further sign changes seen while scanning on to the
-    ceiling.  f is evaluated strictly in scan order, so a stateful f (one
-    keeping bracket hints) sees the same sequence of heights on every run.
+    At each height ``root_order`` decides the sign of r1 - r2, starting from
+    the a that decided the previous height with the change in b as its step.
+    A coarse upward scan in steps of ``b_step`` finds the first turn of that
+    sign from negative to non-negative, then bisection narrows it to
+    ``b_tol``.  Returns that b and, with ``full_scan``, the midpoints of the
+    further sign changes seen while scanning on to the ceiling.
     """
+    last = [frac.value, None]  # the deciding a and the height it decided
+
+    def f(b: float) -> float:
+        x0, b_last = last
+        step = num.b_step if b_last is None else abs(b - b_last)
+        sign, x = root_order(*objectives(b), *_default_bracket(frac, b), x0, step,
+                             num.solver_tol)
+        last[:] = x, b
+        return sign
+
     b_prev = SINE.b_critical
     f_prev = f(b_prev)
     if f_prev > 0.0:
@@ -188,15 +192,12 @@ def _first_crossing(f, num: Config, full_scan: bool, what: str) -> tuple[float, 
     b = b_prev
     while b < num.b_ceiling:
         b = min(b + num.b_step, num.b_ceiling)
-        f_b = f(b)
-        if f_prev < 0.0 <= f_b or f_prev <= 0.0 < f_b:
-            if b_lo is None:
-                b_lo, b_hi, f_lo, f_hi = b_prev, b, f_prev, f_b
-                if not full_scan:
-                    break
-            else:
-                extras.append(0.5 * (b_prev + b))
-        elif b_lo is not None and (f_prev > 0.0 >= f_b or f_prev >= 0.0 > f_b):
+        f_b = f(b)  # a sign, so any change is a crossing and a rise is upward
+        if b_lo is None and f_b > f_prev:
+            b_lo, b_hi, f_lo, f_hi = b_prev, b, f_prev, f_b
+            if not full_scan:
+                break
+        elif b_lo is not None and f_b != f_prev:
             extras.append(0.5 * (b_prev + b))
         b_prev, f_prev = b, f_b
     if b_lo is None:
@@ -208,39 +209,17 @@ def _first_crossing(f, num: Config, full_scan: bool, what: str) -> tuple[float, 
 def tip_by_width(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> Tip:
     """Lowest b above the critical line where the locking width reaches zero.
 
-    ``full_scan`` keeps scanning to the ceiling and records any further sign
-    changes (a connected principal component has none).
+    Each height is decided by the order of psi1 and psi2, which are solved
+    only at the tip.  ``full_scan`` keeps scanning to the ceiling and records
+    any further sign changes (a connected principal component has none).
     """
     if frac.is_endpoint:
         raise ValueError(f"{frac} has no tip in the scanned range")
-    hints = {"psi1": None, "psi2": None}
 
-    def neg_width(b: float) -> float:
-        """psi1 - psi2 at b, or a value of the same sign.
+    def objectives(b: float):
+        return _objective("psi1", frac, b, num), _objective("psi2", frac, b, num)
 
-        Both boundary brackets are bisected together, to a common width that
-        halves each round, only until they are disjoint, which fixes the sign
-        of the width.  Brackets that still overlap at solver_tol give exactly
-        the two boundary values.  The next height starts from the midpoints
-        reached here.
-        """
-        objectives, brackets = [], []
-        for k in ("psi1", "psi2"):
-            hint = hints[k]
-            br = (hint - 0.05, hint + 0.05) if hint is not None else None
-            objective, lo, hi, f_lo, f_hi = _objective_and_bracket(k, frac, b, num, br)
-            objectives.append(objective)
-            brackets.append(open_bracket(objective, lo, hi, f_lo, f_hi))
-        (lo1, hi1), (lo2, hi2) = brackets
-        width = max(hi1 - lo1, hi2 - lo2)
-        while width > num.solver_tol and lo1 <= hi2 and lo2 <= hi1:
-            width = max(0.5 * width, num.solver_tol)
-            lo1, hi1 = bisect_bracket(objectives[0], lo1, hi1, width)
-            lo2, hi2 = bisect_bracket(objectives[1], lo2, hi2, width)
-        hints["psi1"], hints["psi2"] = 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
-        return hints["psi1"] - hints["psi2"]
-
-    b_star, extras = _first_crossing(neg_width, num, full_scan, f"width tip of {frac}")
+    b_star, extras = _first_crossing(objectives, frac, num, full_scan, f"width tip of {frac}")
     psi1 = boundary("psi1", frac, b_star, num)
     psi2 = boundary("psi2", frac, b_star, num)
     return Tip(frac, 0.5 * (psi1 + psi2), b_star, "width", abs(psi2 - psi1), extras)

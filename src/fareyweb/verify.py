@@ -18,7 +18,7 @@ from .farey import Frac, child, is_higher, path_to_real
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
 from .rotation import displacement_extrema
 from .tongue import boundary, section, tip_by_width
-from .web import _strand_ends, b_point, strand_point, strand_sides
+from .web import _strand_objective, b_point, strand_point, strand_sides
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -140,10 +140,9 @@ def theorem1(frac: Frac = Frac(1, 2), bs=(1.0, 1.2, 1.5, 2.0), num: Config = DEF
         pts = [strand_point(frac, side, b, num) for b in sorted(bs)]
         # monotone objective across the defining bracket at the largest b
         b_top = max(bs)
-        x0, target, bound = _strand_ends(frac, side, SINE.landmarks(b_top))
+        objective = _strand_objective(frac, side, b_top)
         a_star = next(p.a for p in pts if p.b == b_top)
-        samples = [SINE.iterate(FamilyParams(a_star + da, b_top), bound, x0, frac.q) - target
-                   for da in np.linspace(-0.4, 0.4, 9)]
+        samples = [objective(a_star + da) for da in np.linspace(-0.4, 0.4, 9)]
         min_step = min(s2 - s1 for s1, s2 in zip(samples, samples[1:]))
         rep.check_ge(f"objective increasing {side} {frac}", min_step, 1e-12)
         max_jump = max((abs(p2.a - p1.a) for p1, p2 in zip(pts, pts[1:])), default=0.0)

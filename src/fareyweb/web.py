@@ -121,6 +121,23 @@ def _strand_ends(frac: Frac, side: str, lm) -> tuple[float, float, BoundSide]:
     return lm.c_plus, lm.k_minus + frac.p, BoundSide.UPPER
 
 
+def _strand_objective(frac: Frac, side: str, b: float):
+    """bound^q(x0) - target at height b as a function of a; it grows at least as fast as a."""
+    x0, target, bound = _strand_ends(frac, side, SINE.landmarks(b))
+
+    def objective(a: float) -> float:
+        return SINE.iterate(FamilyParams(a, b), bound, x0, frac.q) - target
+
+    return objective
+
+
+def _strand_root(frac: Frac, side: str, b: float, num: Config) -> float:
+    """The one root of the strand objective, within |objective(a0)| of any probe a0."""
+    objective, a0 = _strand_objective(frac, side, b), frac.value
+    f0 = objective(a0)
+    return bisect_root(objective, a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9, num.solver_tol)
+
+
 def _raw_orbit(params: FamilyParams, x: float, n: int) -> list[float]:
     """x and its first n images under the raw map, as unreduced lift values."""
     orbit = [x]
@@ -206,17 +223,7 @@ def strand_point(frac: Frac, side: str, b: float, num: Config = DEFAULT, *,
         raise ValueError(f"method must be 'bound' or 'continued', got {method!r}")
     _check_side(frac, side)
     _check_cap(frac, num)
-    x0, target, bound = _strand_ends(frac, side, SINE.landmarks(b))
-
-    def objective(a: float) -> float:
-        return SINE.iterate(FamilyParams(a, b), bound, x0, frac.q) - target
-
-    # the objective grows at least as fast as a, so the root is within
-    # |objective(a0)| of any probe a0
-    a0 = frac.value
-    f0 = objective(a0)
-    lo, hi = a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9
-    a_star = bisect_root(objective, lo, hi, num.solver_tol)
+    a_star = _strand_root(frac, side, b, num)
     flags = _raw_orbit_flags(frac, side, a_star, b)
     verified = all(f in ("ok", "relaxed") for f in flags)
     how = "bound"
@@ -250,17 +257,13 @@ def trace_strand(frac: Frac, side: str, b_lo: float, b_hi: float, steps: int,
 
 @cached(maxsize=1024)
 def b_point(frac: Frac, num: Config = DEFAULT) -> tuple[float, float]:
-    """The unique critical-line point whose critical orbit is p/q-periodic."""
+    """The unique critical-line point whose critical orbit is p/q-periodic.
+
+    On the critical line both bounds are the raw map and all four landmarks
+    are the critical point c, so the strand equation there reads F^q(c) = c + p.
+    """
     b = SINE.b_critical
-    c = SINE.landmarks(b).c  # single critical point on the critical line
-
-    def objective(a: float) -> float:
-        return SINE.iterate(FamilyParams(a, b), BoundSide.RAW, c, frac.q) - (c + frac.p)
-
-    a0 = frac.value
-    f0 = objective(a0)
-    a_star = bisect_root(objective, a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9, num.solver_tol)
-    return a_star, b
+    return _strand_root(frac, "R", b, num), b
 
 
 @cached(maxsize=256)
@@ -268,21 +271,24 @@ def tip_by_intersection(frac: Frac, num: Config = DEFAULT, full_scan: bool = Fal
     """Tip located as the lowest crossing of the two parent strands.
 
     The right strand of the left parent and the left strand of the right
-    parent start apart on the critical line and cross at the tip.  The
-    residual reported is the locking width measured at the crossing, the same
-    quantity the width method drives to zero, so the two methods are directly
-    comparable.
+    parent start apart on the critical line and cross at the tip.  Each height
+    is decided by the order of the two strand roots; the strand points are
+    solved only at the crossing.  The residual reported is the locking width
+    measured there, the same quantity the width method drives to zero, so the
+    two methods are directly comparable.
     """
     if frac.is_endpoint:
         raise ValueError(f"{frac} has no tip in the scanned range")
+    _check_cap(frac, num)
     left, right = parents(frac)
 
-    def gap(b: float) -> float:
-        return strand_point(left, "R", b, num).a - strand_point(right, "L", b, num).a
+    def objectives(b: float):
+        return _strand_objective(left, "R", b), _strand_objective(right, "L", b)
 
-    b_star, extras = _first_crossing(gap, num, full_scan, f"intersection tip of {frac}")
-    ra = strand_point(left, "R", b_star, num).a
-    la = strand_point(right, "L", b_star, num).a
+    b_star, extras = _first_crossing(objectives, frac, num, full_scan,
+                                     f"intersection tip of {frac}")
+    ra = _strand_root(left, "R", b_star, num)
+    la = _strand_root(right, "L", b_star, num)
     psi1 = boundary("psi1", frac, b_star, num)
     psi2 = boundary("psi2", frac, b_star, num)
     return Tip(frac, 0.5 * (ra + la), b_star, "intersection", abs(psi2 - psi1), extras)

@@ -39,3 +39,20 @@ def test_tracer_binds_every_span(tmp_path):
                 "cli.scan.calls"):
         assert c[key] > 0, key
     assert c["cli.scan.cells"] == 4
+
+
+def test_tracer_binds_both_tip_searches():
+    # under the tracer ``__wrapped__`` is the cached function, which skips the
+    # span; a config no other call uses keeps both calls cold and traced
+    num = Config(b_tol=2e-10)
+    tr = Tracer()
+    tr.install()
+    try:
+        tongue.tip_by_width(Frac(1, 2), num)
+        web.tip_by_intersection(Frac(1, 2), num)
+    finally:
+        tr.uninstall()
+    assert tr.missing == []
+    assert tr.counts["tongue.tip_width.calls"] > 0
+    assert tr.counts["web.tip_intersection.calls"] > 0
+    assert tr.counts["rotation.extremum.calls"] > 0 and tr.counts["lift.iterate.calls"] > 0

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fareyweb import cli
 from fareyweb.lift import SINE, BoundSide, FamilyParams
 
@@ -25,9 +27,31 @@ def run_cli(*args, expect=0):
     return proc
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(capsys):
     proc = run(["tongue"])
     assert proc.returncode == 2
+    # an option that only some --op values need is named when it is missing
+    for op, needle in (("parents", "--frac"), ("children", "--frac"), ("level", "--frac"),
+                       ("path", "--omega")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["farey", "--op", op])
+        assert exc.value.code == 2
+        assert f"needs {needle}" in capsys.readouterr().err
+
+
+def test_negative_ranges_parse(tmp_path, capsys):
+    out = str(tmp_path / "out.csv")
+    assert cli.main(["scan", "--a", "-0.5:0.5:3", "--b", "1:1.2:2", "--out", out]) == 0
+    assert [line.split(",")[0] for line in Path(out).read_text().splitlines()[2:5]] == [
+        "-0.5", "0.0", "0.5"]
+    for args, needle in ((["tongue", "--frac", "1/2", "--b", "-1:1:3"],
+                          "b must be non-negative"),
+                         (["strand", "--frac", "1/2", "--side", "R", "--b", "-1:1:2"],
+                          "b_critical <= b_lo"),
+                         (["web", "--max-level", "0", "--b", "-1:1:2"], "b_critical <= b_lo"),
+                         (["scan", "--a", "0:1:2", "--b", "-1:-0.5:2"], "non-negative")):
+        assert cli.main(args + ["--out", out]) == 1, args
+        assert needle in capsys.readouterr().err, args
 
 
 def test_unknown_config_key_exits_1():
@@ -58,6 +82,8 @@ def test_unknown_config_key_exits_1():
         (["rotnum", "--a", "0.3", "--b", "nan"], b"b must be non-negative and finite"),
         (["verify", "--suite", "fact9_tangency", "--param", "b=nan"],
          b"b must be non-negative and finite"),
+        # a negative level would write an empty web
+        (["web", "--max-level", "-1", "--b", "1:1.1:2"], b"--max-level"),
     ]
     for args, needle in cases:
         proc = run(args)

@@ -1,7 +1,7 @@
 import pytest
 
 from fareyweb.errors import BracketError
-from fareyweb.solvers import bisect_bracket, bisect_root, open_bracket
+from fareyweb.solvers import bisect_bracket, bisect_root, root_order
 
 
 def test_bisect_root_exact_zeros():
@@ -16,13 +16,15 @@ def test_bisect_root_width_and_bracket_errors():
     with pytest.raises(BracketError):
         bisect_root(lambda x: x + 1.0, 0.0, 1.0)
     with pytest.raises(BracketError):
-        open_bracket(lambda x: x, 1.0, 0.0)
+        bisect_root(lambda x: x, 1.0, 0.0)  # empty bracket
 
 
 def test_staged_narrowing_ends_on_the_one_shot_bracket():
     f = lambda x: x ** 3 - 0.3  # noqa: E731
-    assert open_bracket(f, 0.0, 1.0) == (0.0, 1.0)
-    assert open_bracket(lambda x: x - 0.25, 0.25, 1.0) == (0.25, 0.25)
+    calls = []
+    # a zero at an end is the root, with no further evaluation
+    assert bisect_root(lambda x: calls.append(x) or x - 0.25, 0.25, 1.0, 1e-12) == 0.25
+    assert calls == [0.25, 1.0]
     lo, hi = bisect_bracket(f, 0.0, 1.0, 0.3)
     assert hi - lo <= 0.3 < 2 * (hi - lo) and lo < 0.3 ** (1 / 3) < hi
     one_shot = bisect_bracket(f, 0.0, 1.0, 1e-12)
@@ -30,3 +32,48 @@ def test_staged_narrowing_ends_on_the_one_shot_bracket():
         lo, hi = bisect_bracket(f, lo, hi, width)
     assert (lo, hi) == one_shot
     assert bisect_bracket(f, 1.0, 1.0 + 2.0 ** -52, 0.0) == (1.0, 1.0 + 2.0 ** -52)  # no float between
+
+
+def _linear_pair(r1, r2, probes):
+    """Increasing lines through r1 and r2 of different slopes, logging each x."""
+    def f1(x):
+        probes.append(x)
+        return 2.0 * (x - r1)
+
+    def f2(x):
+        probes.append(x)
+        return 0.5 * (x - r2)
+
+    return f1, f2
+
+
+@pytest.mark.parametrize("x0", [-0.9, 0.05, 0.45, 0.95, 3.0])
+@pytest.mark.parametrize("r1, r2", [(0.3, 0.6), (0.6, 0.3), (0.6, 0.6 + 1e-3)])
+def test_root_order_decides_from_any_start(r1, r2, x0):
+    probes = []
+    lo, hi = -1.0, 2.0
+    sign, x = root_order(*_linear_pair(r1, r2, probes), lo, hi, x0, 0.01, 1e-12)
+    assert sign == (-1.0 if r1 < r2 else 1.0)
+    assert min(r1, r2) <= x <= max(r1, r2)
+    assert probes and all(lo <= p <= hi for p in probes)
+    assert len(probes) <= 2 * 25  # doubling steps, then bisection
+    if min(r1, r2) < x0 < max(r1, r2):
+        assert probes == [x0, x0]  # a start between the roots decides at once
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.9])
+def test_root_order_equal_roots_give_zero(x0):
+    r = 2.0 ** -0.5
+    probes = []
+    sign, x = root_order(*_linear_pair(r, r, probes), 0.0, 1.0, x0, 0.01, 1e-12)
+    assert sign == 0.0 and abs(x - r) <= 1e-12
+    assert all(0.0 <= p <= 1.0 for p in probes)
+
+
+@pytest.mark.parametrize("lo, hi, x0", [(0.0, 0.5, 0.1), (0.7, 1.0, 0.9), (0.0, 0.5, 0.5)])
+def test_root_order_raises_when_the_roots_lie_beyond_the_bracket(lo, hi, x0):
+    probes = []
+    with pytest.raises(BracketError):
+        root_order(*_linear_pair(0.55, 0.65, probes), lo, hi, x0, 0.01, 1e-12)
+    assert all(lo <= p <= hi for p in probes)
+    assert (lo if x0 > 0.6 else hi) in probes  # the bracket end was probed

@@ -172,7 +172,7 @@ def test_cold_width_tip_extremum_budget(monkeypatch):
             monkeypatch.setattr(mod, "_disp_extremum", counted)
     tip = tip_by_width.__wrapped__(HALF)  # bypasses the cache
     assert (tip.a, tip.b) == PINNED_TIPS[HALF][:2]
-    assert 0 < len(calls) <= 2500
+    assert 0 < len(calls) <= 450
 
 
 def _order(v: float, band: float) -> tuple[bool, ...]:

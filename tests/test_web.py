@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fareyweb.config import DEFAULT
+from fareyweb.config import DEFAULT, Config
 from fareyweb.farey import Frac, child
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
 from fareyweb.tongue import boundary, tip_by_width
@@ -112,6 +112,20 @@ def test_tip_methods_agree_for_half():
     assert abs(tw.b - ti.b) < 1e-6
     assert abs(ti.a - 0.5) < 1e-8
     assert ti.residual < 1e-8
+
+
+def test_tip_methods_agree_at_a_tie():
+    # near the 4/9 tip the locking width changes by only about 6e-12 per b_tol
+    # of b, a few solver_tol, yet the two methods must agree to b_tol
+    frac = Frac(4, 9)
+    tw, ti = tip_by_width(frac), tip_by_intersection(frac)
+    assert abs(tw.b - ti.b) <= DEFAULT.b_tol
+    assert abs(tw.a - ti.a) <= 1e-9
+
+
+def test_tip_by_intersection_checks_the_cap_first():
+    with pytest.raises(ValueError, match="exceeds cap"):
+        tip_by_intersection(Frac(3, 8), Config(q_cap=5, b_ceiling=1.0 + 1e-9))
 
 
 def test_twist_cycles_pair_inside_locking():
