@@ -81,11 +81,11 @@ def _cmd_rotnum(args, cfg: Config) -> int:
 def _cmd_tongue(args, cfg: Config) -> int:
     frac = Frac.parse(args.frac)
     b_lo, b_hi, n = _parse_range(args.b, "--b")
-    rows = trace(frac, b_lo, b_hi, max(n, 2), cfg)
+    rows = trace(frac, b_lo, b_hi, n, cfg)
     buf = io.StringIO()
     buf.write(cfg.header() + "\n")
     buf.write("b,phi2,psi1,psi2,phi1\n")
-    for sec in rows[: n]:
+    for sec in rows:
         buf.write(f"{sec.b!r},{sec.phi2!r},{sec.psi1!r},{sec.psi2!r},{sec.phi1!r}\n")
     _emit(buf.getvalue(), args.out)
     return 0
@@ -94,11 +94,11 @@ def _cmd_tongue(args, cfg: Config) -> int:
 def _cmd_strand(args, cfg: Config) -> int:
     frac = Frac.parse(args.frac)
     b_lo, b_hi, n = _parse_range(args.b, "--b")
-    pts = trace_strand(frac, args.side, b_lo, b_hi, max(n, 2), cfg, method=args.method)
+    pts = trace_strand(frac, args.side, b_lo, b_hi, n, cfg, method=args.method)
     buf = io.StringIO()
     buf.write(cfg.header() + "\n")
     buf.write("b,a,constraints_verified\n")
-    for p in pts[: n]:
+    for p in pts:
         buf.write(f"{p.b!r},{p.a!r},{int(p.constraints_verified)}\n")
     _emit(buf.getvalue(), args.out)
     return 0
@@ -152,7 +152,7 @@ def _cmd_web(args, cfg: Config) -> int:
     strands = {}
     for f in fracs:
         for side in strand_sides(f):
-            pts = trace_strand(f, side, b_lo, b_hi, max(n, 2), cfg)[: n]
+            pts = trace_strand(f, side, b_lo, b_hi, n, cfg)
             strands[(f, side)] = pts
             for p in pts:
                 buf.write(f"{f.p},{f.q},{side},{p.b!r},{p.a!r},"

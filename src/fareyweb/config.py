@@ -26,12 +26,11 @@ class Config:
     b_tol: float = 1e-10         # bisection width in b (tips)
     b_step: float = 0.01         # coarse scan step in b
     b_ceiling: float = 4.0
-    q_cap: int = 64
+    q_cap: int = 128             # largest denominator analysed or snapped to
     grid_base: int = 4096        # displacement grid: grid_base + grid_per_q * q
     grid_per_q: int = 512
     scan_grid_base: int = 1024   # cheaper displacement grid for raster cells
     scan_grid_per_q: int = 128
-    snap_qmax: int = 128
 
     def __post_init__(self):
         for name in ("rot_tol", "scan_tol", "solver_tol", "b_tol", "b_step"):
@@ -40,7 +39,7 @@ class Config:
         if not math.isfinite(self.b_ceiling):
             raise ValueError("b_ceiling must be finite")
         for name in ("rot_max_iter", "q_cap", "grid_base", "grid_per_q", "scan_grid_base",
-                     "scan_grid_per_q", "snap_qmax"):
+                     "scan_grid_per_q"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 

@@ -166,14 +166,20 @@ def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
     Locked means the lower bound still reaches x + p somewhere (its max
     displacement is >= 0) while the upper bound still dips to x + p (its min
     is <= 0); ties at zero count as locked.  Verdicts inside the band
-    ``LOCK_BAND`` around zero are reported as uncertain.
+    ``LOCK_BAND`` around zero are reported as uncertain.  Up to the critical
+    line both bounds are the map itself, and one grid pass gives both extrema.
     """
     _check_cap(frac, num)
     p = frac.p + offset * frac.q
-    max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", SINE, num.grid,
-                                1e-13, band=LOCK_BAND)
-    min_up, _ = _disp_extremum(params, BoundSide.UPPER, p, frac.q, "min", SINE, num.grid,
-                               1e-13, band=LOCK_BAND)
+    if params.b <= SINE.b_critical:
+        ext = _disp_extremum(params, BoundSide.RAW, p, frac.q, "both", SINE, num.grid, 1e-13,
+                             band=LOCK_BAND)
+        max_low, min_up = ext.maximum, ext.minimum
+    else:
+        max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", SINE,
+                                    num.grid, 1e-13, band=LOCK_BAND)
+        min_up, _ = _disp_extremum(params, BoundSide.UPPER, p, frac.q, "min", SINE,
+                                   num.grid, 1e-13, band=LOCK_BAND)
     if max_low >= LOCK_BAND and min_up <= -LOCK_BAND:
         return LockStatus("locked", frac)
     if max_low <= -LOCK_BAND or min_up >= LOCK_BAND:
@@ -222,7 +228,7 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config, snap: bool) -> 
         return 1 if g > 0 else -1
 
     def snapped(node) -> Enclosure | None:
-        if not snap or node[1] > num.snap_qmax or node in tried:
+        if not snap or node[1] > num.q_cap or node in tried:
             return None
         tried.add(node)
         hit = _try_snap(params, side, *node, num)

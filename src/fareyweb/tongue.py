@@ -132,16 +132,17 @@ def _sweep(sample, coords, b_lo: float, b_hi: float, steps: int, floor: float,
            budget: float | None = None) -> list:
     """``sample(b)`` at ``steps`` uniformly spaced b; adjacent jumps above budget are warned.
 
-    ``coords(point)`` lists the (label, value) pairs compared between
-    neighbouring samples.  The default budget scales with the step, never
-    below ``floor``, so that regular drift in b never trips it; only
-    step-disproportionate jumps are flagged.
+    One step samples ``b_lo`` alone.  ``coords(point)`` lists the (label,
+    value) pairs compared between neighbouring samples.  The default budget
+    scales with the step, never below ``floor``, so that regular drift in b
+    never trips it; only step-disproportionate jumps are flagged.
     """
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    gaps = max(steps - 1, 1)
     if budget is None:
-        budget = max(floor, 2.0 * (b_hi - b_lo) / (steps - 1))
-    out = [sample(b_lo + (b_hi - b_lo) * i / (steps - 1)) for i in range(steps)]
+        budget = max(floor, 2.0 * (b_hi - b_lo) / gaps)
+    out = [sample(b_lo + (b_hi - b_lo) * i / gaps) for i in range(steps)]
     for prev, cur in zip(out, out[1:]):
         for (label, v_prev), (_, v_cur) in zip(coords(prev), coords(cur)):
             jump = abs(v_cur - v_prev)

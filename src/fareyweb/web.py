@@ -102,6 +102,18 @@ def _circle_dist(x: float, y: float) -> float:
     return min(d, 1.0 - d)
 
 
+def _cycle_shift(pts, images, tol: float) -> int | None:
+    """The k that sends each sorted point pts[i] to images[i] ~ pts[(i + k) % q], else None.
+
+    k is read off the first image's nearest point; every image must then lie
+    within ``tol`` of its place on the circle.
+    """
+    q = len(pts)
+    k = min(range(q), key=lambda j: _circle_dist(images[0], pts[j]))
+    ok = all(_circle_dist(y, pts[(i + k) % q]) <= tol for i, y in enumerate(images))
+    return k if ok else None
+
+
 def strand_sides(frac: Frac) -> tuple[str, ...]:
     """The sides whose strand ``frac`` has: both, less L of 0/1 and R of 1/1."""
     return ("R",) if frac.p == 0 else ("L",) if frac.p == frac.q else ("L", "R")
@@ -172,25 +184,30 @@ def _raw_orbit_flags(frac: Frac, side: str, a: float, b: float) -> tuple[str, ..
     return tuple(flags)
 
 
+def _grid_roots(f, xs, g, xtol: float) -> list[float]:
+    """Roots of f from its samples g = f(xs) on increasing xs, in order.
+
+    A zero sample is a root as it stands; each cell whose ends have strictly
+    opposite signs is bisected from those two samples, which must equal f
+    there bit for bit.
+    """
+    sign = np.sign(g)
+    roots = []
+    for i in np.nonzero((sign == 0) | np.append(sign[:-1] * sign[1:] < 0, False))[0]:
+        s = -float(sign[i])  # +1 where f rises through the cell, -1 where it falls
+        roots.append(float(xs[i]) if s == 0 else float(bisect_root(
+            lambda x: s * f(x), xs[i], xs[i + 1], xtol, f_lo=s * g[i], f_hi=s * g[i + 1])))
+    return roots
+
+
 def _raw_strand_roots(frac: Frac, side: str, b: float, lo: float, hi: float,
                       xtol: float) -> list[float]:
     """All roots of the raw q-step strand equation on [lo, hi]."""
     x0, target, _ = _strand_ends(frac, side, SINE.landmarks(b))
     a_grid = np.linspace(lo, hi, 8192 + 1024 * frac.q)
     g = SINE.iterate_grid(a_grid, b, BoundSide.RAW, x0, frac.q) - target
-
-    def scalar(a: float) -> float:
-        return SINE.iterate(FamilyParams(a, b), BoundSide.RAW, x0, frac.q) - target
-
-    roots = []
-    for i in np.nonzero(np.diff(np.sign(g)) != 0)[0]:
-        if g[i] == 0.0:
-            roots.append(float(a_grid[i]))
-        elif g[i] < 0.0:
-            roots.append(bisect_root(scalar, a_grid[i], a_grid[i + 1], xtol))
-        else:
-            roots.append(bisect_root(lambda v: -scalar(v), a_grid[i], a_grid[i + 1], xtol))
-    return roots
+    return _grid_roots(lambda a: SINE.iterate(FamilyParams(a, b), BoundSide.RAW, x0, frac.q)
+                       - target, a_grid, g, xtol)
 
 
 def _segment_is_twist(frac: Frac, side: str, a: float, b: float) -> bool:
@@ -298,11 +315,12 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac,
                  num: Config = DEFAULT) -> list[TwistCycle]:
     """All twist p/q-cycles of the selected map (at most two for this family).
 
-    Fixed points of the q-step displacement are found by sign-change scanning
-    plus bisection; extrema grazing zero within ``TOUCH_TOL`` after refinement
-    are kept as tangential fixed points.  Fixed points are grouped into
-    orbits, and only cycles on which the map acts as the rigid rotation by
-    p/q are returned.  More than two such cycles is a structural failure.
+    Fixed points of the q-step displacement are the grid roots of one
+    periodic scan; extrema grazing zero within ``TOUCH_TOL`` after refinement
+    are kept as tangential fixed points.  One map step sends each fixed point
+    to its nearest fixed point; a twist cycle is a q-cycle of that successor
+    map whose images advance its sorted points by p places, the rigid
+    rotation by p/q.  More than two such cycles is a structural failure.
     """
     _check_cap(frac, num)
     p, q = frac.p, frac.q
@@ -329,15 +347,9 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac,
                 return
         roots.append(t)
 
-    g_next = np.roll(g, -1)  # displacement is periodic, so roll wraps correctly
-    for i in np.nonzero(((g <= 0.0) & (g_next >= 0.0)) | ((g >= 0.0) & (g_next <= 0.0)))[0]:
-        lo, hi = xs[i], xs[i] + h
-        if g[i] == 0.0:
-            add_root(float(xs[i]))
-        elif g[i] < 0.0 < g_next[i]:
-            add_root(bisect_root(scalar, lo, hi, 1e-13))
-        elif g[i] > 0.0 > g_next[i]:
-            add_root(bisect_root(lambda x: -scalar(x), lo, hi, 1e-13))
+    # the displacement is periodic: close the grid with its value at x = 1
+    for x in _grid_roots(scalar, np.append(xs, 1.0), np.append(g, g[0]), 1e-13):
+        add_root(x)
 
     # tangential fixed points graze zero without a sign change; the grid value
     # near one is quadratic in the cell size, so filter loosely and let the
@@ -355,57 +367,28 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac,
         if abs(v_t) <= TOUCH_TOL:
             add_root(x_t)
 
-    if not roots:
-        return []
-
-    roots_sorted = sorted(roots)
-    used = [False] * len(roots_sorted)
+    # one map step sends each fixed point near another: the successor map;
+    # a far match fails the shift test below
+    roots.sort()
+    images = [SINE.bound_eval(params, side, r) for r in roots]
+    succ = [min(range(len(roots)), key=lambda j: _circle_dist(y, roots[j])) for y in images]
     cycles: list[TwistCycle] = []
-    for i0, r0 in enumerate(roots_sorted):
-        if used[i0]:
-            continue
-        used[i0] = True
-        taken = []
-        orbit = [r0]
-        x = r0
-        broken = False
+    for start in range(len(roots)):
+        orbit = [start]
         for _ in range(q - 1):
-            x = SINE.bound_eval(params, side, x) % 1.0
-            dists = [_circle_dist(x, r) for r in roots_sorted]
-            j = int(np.argmin(dists))
-            if dists[j] > MATCH_TOL or used[j]:
-                broken = True
-                break
-            used[j] = True
-            taken.append(j)
-            orbit.append(roots_sorted[j])
-        if broken or len(set(orbit)) != q:
-            for j in taken:  # leave the points available for other groupings
-                used[j] = False
+            orbit.append(succ[orbit[-1]])
+        # each q-cycle is taken once, from its first point
+        if succ[orbit[-1]] != start or len(set(orbit)) < q or min(orbit) < start:
             continue
-        pts = tuple(sorted(orbit))
-        # twist test: one application advances the sorted cycle by p positions
-        incs = []
-        twist = True
-        for idx, y in enumerate(pts):
-            fy = SINE.bound_eval(params, side, y)
-            succ = pts[(idx + p) % q]
-            if _circle_dist(fy, succ) > MATCH_TOL:
-                twist = False
-                break
-            incs.append(int(round(fy - succ)))
-        if not twist:
+        orbit.sort()
+        pts, imgs = [roots[i] for i in orbit], [images[i] for i in orbit]
+        if _cycle_shift(pts, imgs, MATCH_TOL) != p % q:
             continue
-        rep = pts[0]
-        left_val = scalar(rep - 1e-6)
-        right_val = scalar(rep + 1e-6)
-        if left_val < -TOUCH_TOL and right_val > TOUCH_TOL:
-            crossing = 1
-        elif left_val > TOUCH_TOL and right_val < -TOUCH_TOL:
-            crossing = -1
-        else:
-            crossing = 0
-        cycles.append(TwistCycle(frac, pts, tuple(incs), crossing))
+        incs = tuple(int(round(y - pts[(k + p) % q])) for k, y in enumerate(imgs))
+        lv, rv = scalar(pts[0] - 1e-6), scalar(pts[0] + 1e-6)
+        crossing = (1 if lv < -TOUCH_TOL and rv > TOUCH_TOL
+                    else -1 if lv > TOUCH_TOL and rv < -TOUCH_TOL else 0)
+        cycles.append(TwistCycle(frac, tuple(pts), incs, crossing))
     if len(cycles) > 2:
         raise ConsistencyError(
             f"{len(cycles)} twist {frac}-cycles found at a={params.a}, b={params.b}; "
@@ -420,9 +403,10 @@ def verify_tip_cycle(tip: Tip, *, identity_tol: float = 1e-8,
     At the tip, k_minus reaches c_plus + p1 in q1 steps and c_plus reaches
     k_minus + p2 in q2 steps (parents p1/q1 and p2/q2); the union is a twist
     cycle avoiding the open gap between k_minus and c_plus.  The identity
-    residuals are held to ``identity_tol``; whole-orbit successor/predecessor
-    matching uses the looser ``combinatorics_tol`` since q-fold composition
-    amplifies the tip's own coordinate tolerance.
+    residuals are held to ``identity_tol``.  F^q1 must move the sorted cycle
+    one place forward and F^q2 one place back, each point matched within the
+    looser ``combinatorics_tol`` since q-fold composition amplifies the tip's
+    own coordinate tolerance.
     """
     left, right = parents(tip.frac)
     q1, p1 = left.q, left.p
@@ -438,14 +422,8 @@ def verify_tip_cycle(tip: Tip, *, identity_tol: float = 1e-8,
     gap_lo, gap_hi = lm.k_minus, lm.c_plus
     misses = all(not (gap_lo + combinatorics_tol < t < gap_hi - combinatorics_tol)
                  for t in pts)
-    succ_ok = True
-    pred_ok = True
-    for idx, y in enumerate(pts):
-        fy1 = SINE.iterate(params, BoundSide.RAW, y, q1)
-        if _circle_dist(fy1, pts[(idx + 1) % q]) > combinatorics_tol:
-            succ_ok = False
-        fy2 = SINE.iterate(params, BoundSide.RAW, y, q2)
-        if _circle_dist(fy2, pts[(idx - 1) % q]) > combinatorics_tol:
-            pred_ok = False
+    succ_ok, pred_ok = (_cycle_shift(pts, [SINE.iterate(params, BoundSide.RAW, y, n)
+                                           for y in pts], combinatorics_tol) == k % q
+                        for n, k in ((q1, 1), (q2, q - 1)))
     return TipCycleReport(tip.frac, tip.a, tip.b, q1, p1, q2, p2, res_r, res_l,
                           misses, succ_ok, pred_ok, identity_tol, combinatorics_tol)

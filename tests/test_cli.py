@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from fareyweb import cli
+from fareyweb import cli, tongue
+from fareyweb.farey import Frac
 from fareyweb.lift import SINE, BoundSide, FamilyParams
 
 BASE = [sys.executable, "-m", "fareyweb"]
@@ -54,41 +55,41 @@ def test_negative_ranges_parse(tmp_path, capsys):
         assert needle in capsys.readouterr().err, args
 
 
-def test_unknown_config_key_exits_1():
+def test_unknown_config_key_exits_1(capsys):
     rotnum = ["rotnum", "--a", "0.3", "--b", "0.5"]
     cases = [
-        (["--set", "nope=3", *rotnum], b"nope"),
+        (["--set", "nope=3", *rotnum], "nope"),
         # integer fields below 1 would run a 1-step orbit or divide by zero
-        (["--set", "rot_max_iter=0", *rotnum], b"rot_max_iter"),
+        (["--set", "rot_max_iter=0", *rotnum], "rot_max_iter"),
         (["--set", "grid_base=0", "--set", "grid_per_q=0",
-          "tongue", "--frac", "1/2", "--b", "1:1.2:2"], b"grid_base"),
-        (["--set", "scan_grid_base=0", *rotnum], b"scan_grid_base"),
-        (["--set", "scan_grid_per_q=0", *rotnum], b"scan_grid_per_q"),
-        (["--set", "snap_qmax=0", *rotnum], b"snap_qmax"),
+          "tongue", "--frac", "1/2", "--b", "1:1.2:2"], "grid_base"),
+        (["--set", "scan_grid_base=0", *rotnum], "scan_grid_base"),
+        (["--set", "scan_grid_per_q=0", *rotnum], "scan_grid_per_q"),
+        (["--set", "q_cap=0", *rotnum], "q_cap"),
         # float fields must be finite: a NaN tolerance ends every bisection at
         # once, an infinite one skips it
         (["--set", "solver_tol=nan", "tongue", "--frac", "1/2", "--b", "1:1.5:3"],
-         b"solver_tol"),
-        (["--set", "solver_tol=inf", "bpoint", "--frac", "3/8"], b"solver_tol"),
-        (["--set", "b_step=nan", *rotnum], b"b_step"),
-        (["--set", "b_ceiling=inf", *rotnum], b"b_ceiling"),
-        (["--set", "scan_tol=-inf", *rotnum], b"scan_tol"),
+         "solver_tol"),
+        (["--set", "solver_tol=inf", "bpoint", "--frac", "3/8"], "solver_tol"),
+        (["--set", "b_step=nan", *rotnum], "b_step"),
+        (["--set", "b_ceiling=inf", *rotnum], "b_ceiling"),
+        (["--set", "scan_tol=-inf", *rotnum], "scan_tol"),
         # a value that does not cast names its key
-        (["--set", "rot_max_iter=inf", *rotnum], b"rot_max_iter"),
-        (["--set", "q_cap=1e3", *rotnum], b"q_cap"),
+        (["--set", "rot_max_iter=inf", *rotnum], "rot_max_iter"),
+        (["--set", "q_cap=1e3", *rotnum], "q_cap"),
         # non-finite parameters name their field
-        (["rotnum", "--a", "inf", "--b", "0.5"], b"a must be finite"),
-        (["rotnum", "--a", "nan", "--b", "0.5"], b"a must be finite"),
-        (["rotnum", "--a", "0.3", "--b", "nan"], b"b must be non-negative and finite"),
+        (["rotnum", "--a", "inf", "--b", "0.5"], "a must be finite"),
+        (["rotnum", "--a", "nan", "--b", "0.5"], "a must be finite"),
+        (["rotnum", "--a", "0.3", "--b", "nan"], "b must be non-negative and finite"),
         (["verify", "--suite", "fact9_tangency", "--param", "b=nan"],
-         b"b must be non-negative and finite"),
+         "b must be non-negative and finite"),
         # a negative level would write an empty web
-        (["web", "--max-level", "-1", "--b", "1:1.1:2"], b"--max-level"),
+        (["web", "--max-level", "-1", "--b", "1:1.1:2"], "--max-level"),
     ]
     for args, needle in cases:
-        proc = run(args)
-        assert proc.returncode == 1, args
-        assert needle in proc.stderr, (args, proc.stderr)
+        assert cli.main(args) == 1, args
+        err = capsys.readouterr().err
+        assert needle in err, (args, err)
 
 
 def test_rotnum_json():
@@ -142,6 +143,18 @@ def test_tongue_csv_shape_and_determinism():
     assert lines[0].startswith("# config:")
     assert lines[1] == "b,phi2,psi1,psi2,phi1"
     assert len(lines) == 5
+
+
+def test_tongue_single_step_runs_one_section(tmp_path, monkeypatch):
+    sec = tongue.section(Frac(1, 2), 1.0)
+    calls = []
+    section = tongue.section
+    monkeypatch.setattr(tongue, "section", lambda *args: calls.append(args) or section(*args))
+    out = tmp_path / "tongue.csv"
+    assert cli.main(["tongue", "--frac", "1/2", "--b", "1:2:1", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert out.read_text().splitlines()[2:] == [
+        f"{sec.b!r},{sec.phi2!r},{sec.psi1!r},{sec.psi2!r},{sec.phi1!r}"]
 
 
 def test_strand_csv():
@@ -267,7 +280,7 @@ def test_verify_json_output():
 
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("rot_tol = 1e-3\nsnap_qmax=128\n# comment\n")
+    cfg.write_text("rot_tol = 1e-3\nq_cap=128\n# comment\n")
     out = run_cli("--config", str(cfg), "tongue", "--frac", "0/1", "--b", "0:0:1").stdout
     assert b"rot_tol=0.001" in out
 
@@ -277,23 +290,23 @@ def test_config_file_roundtrip(tmp_path):
 #: its digest here.
 GOLDEN = [
     (["--set", "rot_tol=1e-4", "rotnum", "--a", "0.3", "--b", "1.8"],
-     "e739158acbf458298bf4b87f30a57f61e3f82f53a456204460e6611783c524fb"),
+     "4985041ea7d32f47ff0af62e59390a9e1a50e8a3cd9930acbdf1efc63fbf3820"),
     (["tongue", "--frac", "1/2", "--b", "1:1.5:3"],
-     "cba08eb420d824d3c85900b1e7321dd266e3d634e08850779f8e6822207684d4"),
+     "c7e1f90a336b0826729db654d642b5e031a2b49ee3175366fc77efe87144e848"),
     (["strand", "--frac", "3/8", "--side", "R", "--b", "1:2:5", "--method", "continued"],
-     "db53b327e4a577ce25fd1579f63f7b3e48e49fe6058108e523d0b6b4c124362f"),
+     "d4a88b5650563aa6d003297f4bcb33e12ef2bce9bb0bd046b43c9c1ee8b66ea6"),
     (["bpoint", "--frac", "3/8"],
-     "031a8f2b76cda1f5dd182fed97ecaf828d9620efa480763163641620a8aae241"),
+     "4e4e3c1f77297d604fac2173cd36d20acd1409b665e775dc3821d6eab29bbb84"),
     (["--set", "b_tol=1e-8", "tip", "--frac", "1/2", "--method", "intersection"],
-     "3c6cc0294c2f7310d45702db68a0b940dcd7f9148e72300574f10822ffad59ea"),
+     "d3e177855fe24018cdb240dff03a317c9ad303d79f0a5f5d550b2b800417798f"),
     (["web", "--max-level", "2", "--b", "1:1.5:5"],
-     "e3ea7a0357fd3f465087c5dccb3b088b926bcd95681de86f31c03f2ff940db94"),
+     "48a6e0dd67aec80680a07e6cba1da70bd945006273d2a55c25029e2ce96b2859"),
     (["scan", "--a", "0.4:0.6:5", "--b", "1.0:1.4:3", "--mode", "lock:1/2"],
-     "dc71bedad3b13578d72636f5702b7588b30585d1d4c5a8f0d4ea352bc4f74c6e"),
+     "a9242426262832ed3f877df55064ed47cbd59dab765a15a32b5ae1c82ce43cbc"),
     (["scan", "--a", "0:0.5:4", "--b", "1.0:1.2:3", "--mode", "width", "--format", "pgm"],
-     "0bf1c0217203f53f978077faec8f8c57c5d7d342c8e7740589c9a13b81c28436"),
+     "0d4439a0ac81e8dd4bc750fcf9e669c0fabc36f7f92099d3280c93d131b7e00f"),
     (["verify", "--suite", "fact9_tangency", "--json"],
-     "95cef9af380d95952df61d504623fd4aae8478d0971700e86e42c1ab7cad2129"),
+     "897ac4efb26d392a564d5b9dfe6f77a70a9e6818d69be1d35725da4c2a4ccdcc"),
     (["construct", "--stages", "3", "--format", "svg"],
      "31f62dc2f6547ccfc1a46c6aa1b439fad5b0d6a5c07cf3fa0ee240eb7f61a487"),
 ]

@@ -96,6 +96,14 @@ def test_rot_interval_against_orbits_and_lock_status(a, b):
             assert state != "locked", (enc, other, state)
 
 
+def test_rot_interval_snaps_only_within_q_cap():
+    # rho = 1/2 here; a snap beyond q_cap would name a rational that
+    # lock_status refuses at the same config
+    params = FamilyParams(0.5, 0.8)
+    assert rot_interval(params, Config(q_cap=1, rot_tol=1e-4)).lower.exact != (1, 2)
+    assert rot_interval(params, Config(q_cap=2, rot_tol=1e-4)).lower.exact == (1, 2)
+
+
 def test_rot_interval_cap_returns_wider_bracket():
     params = FamilyParams(0.1234, 0.7)
     enc = rot_interval(params, Config(rot_tol=1e-9, rot_max_iter=1000)).lower
@@ -180,6 +188,37 @@ def test_lock_status_examples():
     assert lock_status(FamilyParams(0.25, 0.0), Frac(0, 1)).state == "not_locked"
     st = lock_status(FamilyParams(0.5, 1.0), Frac(1, 2))
     assert st.state == "locked" and st.frac == Frac(1, 2)
+
+
+def _two_pass_lock_state(params, frac):
+    p, q = frac.p, frac.q
+    max_low, _ = rotation._disp_extremum(params, BoundSide.LOWER, p, q, "max", SINE,
+                                         DEFAULT.grid, 1e-13, band=rotation.LOCK_BAND)
+    min_up, _ = rotation._disp_extremum(params, BoundSide.UPPER, p, q, "min", SINE,
+                                        DEFAULT.grid, 1e-13, band=rotation.LOCK_BAND)
+    band = rotation.LOCK_BAND
+    if max_low >= band and min_up <= -band:
+        return "locked"
+    return "not_locked" if max_low <= -band or min_up >= band else "uncertain"
+
+
+def test_lock_status_one_pass_up_to_critical_line(monkeypatch):
+    calls = []
+    extremum = rotation._disp_extremum
+    monkeypatch.setattr(rotation, "_disp_extremum",
+                        lambda *args, **kw: calls.append(args) or extremum(*args, **kw))
+    assert lock_status(FamilyParams(0.5, 0.8), Frac(1, 2)).state == "locked"
+    assert len(calls) == 1
+    monkeypatch.undo()
+    states = set()
+    for frac in (Frac(1, 2), Frac(2, 5)):
+        for a in np.linspace(frac.value - 0.04, frac.value + 0.04, 8):
+            for b in (0.25, 0.5, 0.75, 1.0):
+                params = FamilyParams(float(a), b)
+                state = lock_status(params, frac).state
+                assert state == _two_pass_lock_state(params, frac), (frac, a, b)
+                states.add(state)
+    assert {"locked", "not_locked"} <= states
 
 
 def test_lock_status_interval_matches_analytic_edges():

@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from fareyweb.config import DEFAULT, Config
 from fareyweb.farey import Frac, child
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
 from fareyweb.tongue import boundary, tip_by_width
-from fareyweb.web import (b_point, strand_point, strand_sides, tip_by_intersection,
-                          trace_strand, twist_cycles, verify_tip_cycle)
+from fareyweb.web import (_grid_roots, b_point, strand_point, strand_sides,
+                          tip_by_intersection, trace_strand, twist_cycles, verify_tip_cycle)
 
 HALF = Frac(1, 2)
 ZERO = Frac(0, 1)
@@ -168,6 +169,47 @@ def test_twist_cycle_pair_interleaves():
         merged = sorted((p, i) for i, c in enumerate(cycles) for p in c.points)
         owners = [i for _, i in merged]
         assert all(o1 != o2 for o1, o2 in zip(owners, owners[1:]))
+
+
+@pytest.mark.parametrize("frac", [Frac(1, 3), Frac(2, 5), Frac(3, 8), Frac(5, 13)], ids=str)
+@pytest.mark.parametrize("side", list(BoundSide), ids=lambda s: s.value)
+def test_twist_cycle_pair_mid_locking(frac, side):
+    # raw map below the critical line, bounds halfway up to the tip; a sits
+    # mid-way between the two boundaries of that map's locking interval
+    if side is BoundSide.RAW:
+        b = 0.9
+        lo, hi = boundary("phi2", frac, b), boundary("phi1", frac, b)
+    else:
+        b = 1.0 + (tip_by_width(frac).b - 1.0) / 2
+        lo, hi = boundary("psi1", frac, b), boundary("psi2", frac, b)
+    params = FamilyParams(0.5 * (lo + hi), b)
+    cycles = twist_cycles(params, side, frac)
+    assert len(cycles) == 2
+    assert {c.crossing for c in cycles} == {1, -1}
+    merged = sorted((x, i) for i, c in enumerate(cycles) for x in c.points)
+    assert all(o1 != o2 for (_, o1), (_, o2) in zip(merged, merged[1:]))
+    for c in cycles:
+        assert len(c.points) == frac.q and sum(c.lift_increments) == frac.p
+        for x in c.points:
+            assert abs(SINE.iterate(params, side, x, frac.q) - x - frac.p) <= 1e-9
+
+
+def test_grid_roots_zero_sample_once_and_falling_cells():
+    xs = np.linspace(0.0, 1.0, 5)
+    assert _grid_roots(lambda x: x - 0.5, xs, xs - 0.5, 1e-13) == [0.5]
+    (root,) = _grid_roots(lambda x: 0.3 - x, xs, 0.3 - xs, 1e-13)
+    assert abs(root - 0.3) <= 1e-13
+
+
+def test_twist_cycles_root_in_the_last_grid_cell():
+    # the fixed point 1 - eps lies between the last grid point and x = 1,
+    # which only the periodic closure of the grid brackets
+    b, eps = 0.5, 0.3 / (DEFAULT.grid_base + DEFAULT.grid_per_q)
+    params = FamilyParams(b / TWO_PI * math.sin(TWO_PI * eps), b)
+    cycles = twist_cycles(params, BoundSide.RAW, ZERO)
+    assert len(cycles) == 2
+    rising = next(c for c in cycles if c.crossing == 1)
+    assert abs(rising.points[0] - (1.0 - eps)) < 1e-12
 
 
 def test_strand_continued_above_tip_stays_between():
