@@ -220,18 +220,16 @@ def _cmd_scan(args, cfg: Config) -> int:
     if mode == "lock" and not frac_txt:
         raise ValueError("lock mode needs a fraction: lock:p/q")
     a_vals, b_vals = _grid(a_lo, a_hi, nx), _grid(b_lo, b_hi, ny)
-    # raster cells run on the cheaper displacement grid
-    cell = replace(cfg, grid_base=cfg.scan_grid_base, grid_per_q=cfg.scan_grid_per_q)
     if mode == "width":
         # one orbit of n steps pins each bound's rotation number to width 2/n
-        n = min(cell.rot_max_iter, int(np.ceil(2.0 / cell.scan_tol)))
+        n = min(cfg.rot_max_iter, int(np.ceil(2.0 / cfg.scan_tol)))
         up, low = (SINE.iterate_grid(a_vals, np.array(b_vals)[:, None], side, 0.0, n)
                    for side in (BoundSide.UPPER, BoundSide.LOWER))
         rows = np.maximum(0.0, up / n - low / n).tolist()
     else:
         frac = Frac.parse(frac_txt)
         value = {"locked": 1.0, "uncertain": 0.5, "not_locked": 0.0}
-        rows = [[value[lock_status(FamilyParams(a, b), frac, num=cell).state]
+        rows = [[value[lock_status(FamilyParams(a, b), frac, num=cfg).state]
                  for a in a_vals] for b in b_vals]
     if args.format == "csv":
         buf = io.StringIO()

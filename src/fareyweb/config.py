@@ -29,8 +29,6 @@ class Config:
     q_cap: int = 128             # largest denominator analysed or snapped to
     grid_base: int = 4096        # displacement grid: grid_base + grid_per_q * q
     grid_per_q: int = 512
-    scan_grid_base: int = 1024   # cheaper displacement grid for raster cells
-    scan_grid_per_q: int = 128
 
     def __post_init__(self):
         for name in ("rot_tol", "scan_tol", "solver_tol", "b_tol", "b_step"):
@@ -38,8 +36,7 @@ class Config:
                 raise ValueError(f"{name} must be positive and finite")
         if not math.isfinite(self.b_ceiling):
             raise ValueError("b_ceiling must be finite")
-        for name in ("rot_max_iter", "q_cap", "grid_base", "grid_per_q", "scan_grid_base",
-                     "scan_grid_per_q"):
+        for name in ("rot_max_iter", "q_cap", "grid_base", "grid_per_q"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 

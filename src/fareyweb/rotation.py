@@ -8,7 +8,10 @@ number rho:
   2/n (the width rasters of ``fareyweb scan``, and the end of a Farey
   descent at a tie that no sign test certifies);
 * a Farey test: F^q(0) >= p implies rho >= p/q and F^q(0) <= p implies
-  rho <= p/q, for the cost of q map steps.
+  rho <= p/q, for the cost of q map steps;
+* a cell bound: for non-decreasing F, g = F^q(x) - x - p obeys
+  g(x_i) - h <= g <= g(x_i + h) + h on each grid cell of width h, so one grid
+  pass encloses both extrema of g (a first-order interval enclosure).
 
 The rotation interval of the family map runs from the rotation number of its
 lower monotone bound to that of its upper one.  ``rot_interval`` encloses each
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +41,8 @@ LOCK_BAND = 1e-11
 ROUND_BAND = 1e-13
 #: A run of this many moves toward one node may hand over to ``_try_snap``.
 SNAP_RUN = 8
+#: A bounded extremum of a non-decreasing map first reads every STRIDE-th grid point.
+STRIDE = 16
 #: Cost of one grid point-step of ``_try_snap`` in scalar map steps (0.05-0.12
 #: measured for q >= 10 at the default grid).
 GRID_STEP_COST = 0.1
@@ -97,49 +103,49 @@ class Extrema:
 
 
 def _disp_grid(params: FamilyParams, side: BoundSide, p: int, q: int,
-               grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Grid xs over one period and the displacement g = F^q(xs) - xs - p on it."""
+               grid: tuple[int, int], stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``stride``-th point xs of the grid over one period, and g = F^q(xs) - xs - p."""
     n = grid[0] + grid[1] * q
-    xs = np.arange(n) / n
+    xs = np.arange(0, n, stride) / n
     return xs, SINE.iterate_array(params, side, xs, q) - xs - p
 
 
 def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
                    mode: str, family, grid: tuple[int, int], xtol: float,
                    band: float | None = None):
-    """Extrema of F^q(x) - x - p from one grid pass, refined inside the best cell.
+    """Extrema of F^q(x) - x - p from a grid pass, refined inside the best cell.
 
     ``mode`` "min" or "max" returns (value, x) of that extremum; "both" returns
-    the ``Extrema`` of both, refined from the same grid.  Refinement only
-    moves a max up and a min down, so with a ``band`` a grid max above +band
-    (grid min below -band) is returned unrefined: it already decides every
-    comparison of that extremum with 0 and +-band.  The grid pass equals
-    ``family.iterate`` (``family`` is always ``SINE``) bit for bit.
+    the ``Extrema`` of both.  With a ``band`` a grid max above +band, or a cell
+    bound of a non-decreasing map (tried on every ``STRIDE``-th point first)
+    below -band, is returned unrefined, and likewise for a min: either lies
+    between the extremum and 0.  The grid pass equals ``family.iterate``
+    (``family`` is always ``SINE``) bit for bit.
     """
-    xs, g = _disp_grid(params, side, p, q, grid)
-    h = 1.0 / len(xs)
+    n = grid[0] + grid[1] * q
+    monotone = side is not BoundSide.RAW or params.b <= SINE.b_critical
+    strides = (STRIDE, 1) if band is not None and monotone else (1,)
+    band = math.inf if band is None else band
+    grid_pass = cache(lambda stride: _disp_grid(params, side, p, q, grid, stride))
 
-    def scalar(x: float) -> float:
-        return family.iterate(params, side, x, q) - x - p
-
-    def refine(which: str) -> tuple[float, float]:
-        if which == "min":
-            i = int(np.argmin(g))
-            if band is not None and g[i] < -band:
+    def extremum(which: str) -> tuple[float, float]:
+        s, golden = (1.0, golden_max) if which == "max" else (-1.0, golden_min)
+        for stride in strides:
+            xs, g = grid_pass(stride)
+            i = int(np.argmax(s * g))
+            # g moves by at most a cell width within a cell; ROUND_BAND covers rounding
+            cell = stride / n + ROUND_BAND * (q + abs(p)) if monotone else math.inf
+            if s * g[i] > band:
                 return float(g[i]), float(xs[i])
-            x_ref, v_ref = golden_min(scalar, xs[i] - h, xs[i] + h, xtol)
-            on_grid = g[i] < v_ref
-        else:
-            i = int(np.argmax(g))
-            if band is not None and g[i] > band:
-                return float(g[i]), float(xs[i])
-            x_ref, v_ref = golden_max(scalar, xs[i] - h, xs[i] + h, xtol)
-            on_grid = g[i] > v_ref
-        return (float(g[i]), float(xs[i])) if on_grid else (v_ref, x_ref % 1.0)
+            if s * g[i] + cell < -band:
+                return float(g[i] + s * cell), float(xs[i])
+        x_ref, v_ref = golden(lambda x: family.iterate(params, side, x, q) - x - p,
+                              xs[i] - 1.0 / n, xs[i] + 1.0 / n, xtol)
+        return (float(g[i]), float(xs[i])) if s * g[i] > s * v_ref else (v_ref, x_ref % 1.0)
 
     if mode == "both":
-        return Extrema(*refine("min"), *refine("max"))
-    return refine(mode)
+        return Extrema(*extremum("min"), *extremum("max"))
+    return extremum(mode)
 
 
 def _check_cap(frac: Frac, num: Config) -> None:
@@ -178,6 +184,8 @@ def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
     else:
         max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", SINE,
                                     num.grid, 1e-13, band=LOCK_BAND)
+        if max_low <= -LOCK_BAND:  # the lower bound alone rules the lock out
+            return LockStatus("not_locked")
         min_up, _ = _disp_extremum(params, BoundSide.UPPER, p, frac.q, "min", SINE,
                                    num.grid, 1e-13, band=LOCK_BAND)
     if max_low >= LOCK_BAND and min_up <= -LOCK_BAND:

@@ -198,6 +198,8 @@ def trichotomy(frac: Frac, b: float, jmax: int = 4, num: Config = DEFAULT) -> Tr
 
 def _chain_margin(values: list[float]) -> float:
     """Smallest decrease along a supposedly strictly decreasing chain."""
+    if len(values) < 2:
+        raise ValueError(f"a chain needs at least two values, got {len(values)}")
     return min(v1 - v2 for v1, v2 in zip(values, values[1:]))
 
 
@@ -354,4 +356,7 @@ def run_suite(name: str, num: Config = DEFAULT, /, **params) -> Report:
     # a scalar where the suite samples a tuple is a one-element sample set
     params = {k: (v,) if isinstance(defaults[k], tuple) and not isinstance(v, tuple) else v
               for k, v in params.items()}
-    return suite(num=num, **params)
+    report = suite(num=num, **params)
+    if not report.cases:
+        raise ValueError(f"suite {name!r} with parameters {params} checks nothing")
+    return report

@@ -352,12 +352,14 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac,
         add_root(x)
 
     # tangential fixed points graze zero without a sign change; the grid value
-    # near one is quadratic in the cell size, so filter loosely and let the
-    # refinement decide
+    # near one is quadratic in the cell size, so filter loosely, keep one
+    # candidate per dip of |g| and let the refinement decide
     grid_filter = max(TOUCH_TOL, 100.0 * h * h * (1.0 + params.b) ** q)
-    near = np.nonzero(np.abs(g) <= grid_filter)[0]
+    dist = np.abs(g)
+    dip = (dist <= np.roll(dist, 1)) & (dist <= np.roll(dist, -1))
+    near = np.nonzero(dip & (dist <= grid_filter))[0]
     if len(near) > 256:
-        near = near[np.argsort(np.abs(g[near]))[:256]]
+        near = near[np.argsort(dist[near])[:256]]
     for i in near:
         lo, hi = xs[i] - h, xs[i] + h
         if g[i] >= 0.0:

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fareyweb import cli, tongue
+from fareyweb import cli, rotation, tongue
+from fareyweb.config import DEFAULT
 from fareyweb.farey import Frac
 from fareyweb.lift import SINE, BoundSide, FamilyParams
 
@@ -63,8 +65,8 @@ def test_unknown_config_key_exits_1(capsys):
         (["--set", "rot_max_iter=0", *rotnum], "rot_max_iter"),
         (["--set", "grid_base=0", "--set", "grid_per_q=0",
           "tongue", "--frac", "1/2", "--b", "1:1.2:2"], "grid_base"),
-        (["--set", "scan_grid_base=0", *rotnum], "scan_grid_base"),
-        (["--set", "scan_grid_per_q=0", *rotnum], "scan_grid_per_q"),
+        # the raster cells' own grid is gone; lock cells use the library grid
+        (["--set", "scan_grid_base=1024", *rotnum], "unknown config key 'scan_grid_base'"),
         (["--set", "q_cap=0", *rotnum], "q_cap"),
         # float fields must be finite: a NaN tolerance ends every bisection at
         # once, an infinite one skips it
@@ -211,6 +213,32 @@ def test_scan_lock_half_matches_section_edges():
     assert idx == list(range(idx[0], idx[-1] + 1))
 
 
+def test_lock_raster_cells_decide_on_the_coarse_grid(tmp_path, monkeypatch):
+    # each cell is lock_status at the echoed config; the monotone bounds decide
+    # most cells from every STRIDE-th grid point, and the full grid runs only
+    # where an extremum lies within a coarse cell width of zero
+    sizes, cells = [], []
+    kernel, status = SINE.iterate_grid, cli.lock_status
+    monkeypatch.setattr(SINE, "iterate_grid",
+                        lambda a, b, side, xs, n: sizes.append(np.size(xs)) or
+                        kernel(a, b, side, xs, n))
+    monkeypatch.setattr(cli, "lock_status", lambda *args, **kw: cells.append(args[0]) or
+                        status(*args, **kw))
+    c, out = 1 / 3, tmp_path / "lock.csv"
+    assert cli.main(["scan", "--a", f"{c - 0.1!r}:{c + 0.1!r}:16", "--b", "1:2:16",
+                     "--mode", "lock:1/3", "--out", str(out)]) == 0
+    assert len(cells) == 256
+    coarse = len(range(0, DEFAULT.grid_base + 3 * DEFAULT.grid_per_q, rotation.STRIDE))
+    assert sizes.count(coarse) >= len(cells)
+    assert len(sizes) - sizes.count(coarse) <= 0.1 * len(cells)
+    monkeypatch.undo()
+    value = {"locked": 1.0, "uncertain": 0.5, "not_locked": 0.0}
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert {r[2] for r in rows} == {"0.0", "1.0"}
+    for params, (_, _, v) in zip(cells, rows):
+        assert float(v) == value[rotation.lock_status(params, Frac(1, 3)).state]
+
+
 def test_scan_width_cells_match_scalar_orbits(tmp_path):
     # b rows below, on and above the critical line
     out = tmp_path / "width.csv"
@@ -242,6 +270,16 @@ def test_verify_suite_exit_codes():
     run_cli("verify", "--suite", "schwarzian", expect=0)
     proc = run(["verify", "--suite", "corollary1", "--param", "chain=1/3,1/2"])
     assert proc.returncode == 3
+
+
+def test_verify_without_cases_exits_1(capsys):
+    # a suite that checks nothing must not pass; a chain of one value has no margin
+    for suite, param, needles in (("theorem2", "jmax=0", ("'theorem2'", "jmax", "nothing")),
+                                  ("corollary1", "chain=1/2", ("at least two values",)),
+                                  ("theorem5", "jmax=1", ("at least two values",))):
+        assert cli.main(["verify", "--suite", suite, "--param", param]) == 1, suite
+        err = capsys.readouterr().err
+        assert all(needle in err for needle in needles), (suite, err)
 
 
 def test_verify_honours_config():
@@ -290,23 +328,23 @@ def test_config_file_roundtrip(tmp_path):
 #: its digest here.
 GOLDEN = [
     (["--set", "rot_tol=1e-4", "rotnum", "--a", "0.3", "--b", "1.8"],
-     "4985041ea7d32f47ff0af62e59390a9e1a50e8a3cd9930acbdf1efc63fbf3820"),
+     "2ec6b1631f18fcf4bd0e724abbd5e48a46475790d2dedd191e7350f5e277864c"),
     (["tongue", "--frac", "1/2", "--b", "1:1.5:3"],
-     "c7e1f90a336b0826729db654d642b5e031a2b49ee3175366fc77efe87144e848"),
+     "4e05ecb19a9173968ad633655c27c7c26bb840c04170bb5b45543f0080981d5c"),
     (["strand", "--frac", "3/8", "--side", "R", "--b", "1:2:5", "--method", "continued"],
-     "d4a88b5650563aa6d003297f4bcb33e12ef2bce9bb0bd046b43c9c1ee8b66ea6"),
+     "184130fec39a525a536c3bb45f2df711d792fa3c58b59cc967d6b5777f109691"),
     (["bpoint", "--frac", "3/8"],
-     "4e4e3c1f77297d604fac2173cd36d20acd1409b665e775dc3821d6eab29bbb84"),
+     "e8c7f33d726befee1157e82f996e5c9606ef4a9de4a5d03c7f48884f8edd57a5"),
     (["--set", "b_tol=1e-8", "tip", "--frac", "1/2", "--method", "intersection"],
-     "d3e177855fe24018cdb240dff03a317c9ad303d79f0a5f5d550b2b800417798f"),
+     "8ce652e7499ce21b6189676d6af3d436ea296d45f00e90535a5d077346005b55"),
     (["web", "--max-level", "2", "--b", "1:1.5:5"],
-     "48a6e0dd67aec80680a07e6cba1da70bd945006273d2a55c25029e2ce96b2859"),
+     "02fd15f93f9280a22470ce2217bd61c8e44d9c88a8cb402d51bc1cd43e6ac0e0"),
     (["scan", "--a", "0.4:0.6:5", "--b", "1.0:1.4:3", "--mode", "lock:1/2"],
-     "a9242426262832ed3f877df55064ed47cbd59dab765a15a32b5ae1c82ce43cbc"),
+     "134fa0339fd7c47c60be69b90f8b0e1f07ffb54e8aae19a4fffa4a0ea9415417"),
     (["scan", "--a", "0:0.5:4", "--b", "1.0:1.2:3", "--mode", "width", "--format", "pgm"],
-     "0d4439a0ac81e8dd4bc750fcf9e669c0fabc36f7f92099d3280c93d131b7e00f"),
+     "34fca028e3d5c8cbd9656a4945048be658f775064fb39079a230e6c897078385"),
     (["verify", "--suite", "fact9_tangency", "--json"],
-     "897ac4efb26d392a564d5b9dfe6f77a70a9e6818d69be1d35725da4c2a4ccdcc"),
+     "0d552f89bdc07e516ead006efc00da326880a6eb3bcc5f3a6148bc1a3e5fa0e8"),
     (["construct", "--stages", "3", "--format", "svg"],
      "31f62dc2f6547ccfc1a46c6aa1b439fad5b0d6a5c07cf3fa0ee240eb7f61a487"),
 ]

@@ -65,10 +65,13 @@ def test_snap_requires_sign_certificate():
 
 
 def _orbit_enclosure(params, side, n=10_000):
-    """Intersection of the (d -+ 1)/n enclosures of 8 orbits of n steps."""
-    xs = np.arange(8) / 8.0
-    d = SINE.iterate_array(params, side, xs, n) - xs
-    return float(np.max((d - 1.0) / n)), float(np.min((d + 1.0) / n))
+    """Intersection of the (d -+ 1)/n enclosures of 8 orbits of n steps.
+
+    The scalar loop equals the array pass bit for bit
+    (``test_iterate_grid_equals_scalar_iterate``) and is far cheaper at 8 starts.
+    """
+    d = [SINE.iterate(params, side, x, n) - x for x in np.arange(8) / 8.0]
+    return max((v - 1.0) / n for v in d), min((v + 1.0) / n for v in d)
 
 
 def _overlaps(enc, lo, hi):
@@ -214,6 +217,25 @@ def test_lock_status_one_pass_up_to_critical_line(monkeypatch):
     for frac in (Frac(1, 2), Frac(2, 5)):
         for a in np.linspace(frac.value - 0.04, frac.value + 0.04, 8):
             for b in (0.25, 0.5, 0.75, 1.0):
+                params = FamilyParams(float(a), b)
+                state = lock_status(params, frac).state
+                assert state == _two_pass_lock_state(params, frac), (frac, a, b)
+                states.add(state)
+    assert {"locked", "not_locked"} <= states
+
+
+def test_lock_status_skips_the_upper_bound_when_the_lower_decides(monkeypatch):
+    calls = []
+    extremum = rotation._disp_extremum
+    monkeypatch.setattr(rotation, "_disp_extremum",
+                        lambda *args, **kw: calls.append(args) or extremum(*args, **kw))
+    assert lock_status(FamilyParams(0.2, 1.5), Frac(1, 2)).state == "not_locked"
+    assert [args[1] for args in calls] == [BoundSide.LOWER]
+    monkeypatch.undo()
+    states = set()
+    for frac in (Frac(1, 2), Frac(2, 5)):
+        for a in np.linspace(frac.value - 0.06, frac.value + 0.06, 8):
+            for b in (1.5, 2.0):
                 params = FamilyParams(float(a), b)
                 state = lock_status(params, frac).state
                 assert state == _two_pass_lock_state(params, frac), (frac, a, b)

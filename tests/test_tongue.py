@@ -186,15 +186,17 @@ def test_grid_witness_sign_matches_refined_sign(frac):
     sides = {"phi1": (BoundSide.RAW, "min"), "phi2": (BoundSide.RAW, "max"),
              "psi1": (BoundSide.LOWER, "max"), "psi2": (BoundSide.UPPER, "min")}
     unrefined = 0
-    for b in (0.8, 1.2, 2.0):
+    offsets = (-0.2, -0.05, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 0.05, 0.2)
+    # b <= 1 makes every side non-decreasing, so the cell bound decides there too
+    for b in (0.8, 1.0, 1.2, 2.0):
         for kind, (side, which) in sides.items():
             root = boundary(kind, frac, b)
-            for a in [root + d for d in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)] + [
+            for a in [root + d for d in offsets] + [
                     frac.value + rng.uniform(-0.3, 0.3) for _ in range(3)]:
                 args = (FamilyParams(a, b), side, frac.p, frac.q, which, SINE, DEFAULT.grid,
                         1e-13)
                 refined, _ = rotation._disp_extremum(*args)
-                for band in (0.0, rotation.LOCK_BAND):
+                for band in (0.0, 1e-12, rotation.LOCK_BAND):
                     witness, _ = rotation._disp_extremum(*args, band=band)
                     assert _order(witness, band) == _order(refined, band), (kind, b, a)
                     if witness != refined:
