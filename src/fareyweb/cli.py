@@ -297,6 +297,8 @@ def _cmd_farey(args, cfg: Config) -> int:
         doc = {"frac": str(f), "left": str(left), "right": str(right)}
     elif args.op == "children":
         f = Frac.parse(args.frac)
+        if args.count < 1:
+            raise ValueError("count must be positive")
         doc = {"frac": str(f), "side": args.side,
                "children": [str(child(f, args.side, j))
                             for j in range(1, args.count + 1)]}

@@ -10,7 +10,17 @@ bisection root.
 
 A tip is the parameter point where the locking width psi2 - psi1 collapses to
 zero; the first collapse above the critical line is the top of the principal
-locking component.
+locking component.  Above the critical line the width search reads each sign
+from the orbit of a plateau corner, where the extremum usually sits.  Both
+bounds are non-decreasing degree-one maps there, so max g_L >= 0 iff
+rho(L) >= p/q and min g_U <= 0 iff rho(U) <= p/q, and any orbit has
+|B^n(x) - x - n rho(B)| <= 1 (Rhodes & Thompson, 1986).  With
+D_j = B^{jq}(x0) - x0 - jp, from x0 = k_minus for L and c_plus for U:
+D_j >= 0 gives max g_L >= 0 (were g_L < 0 everywhere, every D_j would be),
+and D_j < -1 gives rho(L) < p/q; mirrored, D_j <= 0 gives min g_U <= 0 and
+D_j > 1 gives rho(U) > p/q.  A tie band on D_j covers the rounding of the jq
+steps; a corner orbit that decides nothing within a grid's worth of cycles
+hands the sign to the displacement grid.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from .config import DEFAULT, Config, cached
 from .errors import ConsistencyError, TipNotFoundError
 from .farey import Frac
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
-from .rotation import _check_cap, _disp_extremum
+from .rotation import ROUND_BAND, STRIDE, _check_cap, _disp_extremum
 from .solvers import bisect_root, root_order
 
 #: objective -> (map side, which extremum of the displacement must vanish)
@@ -99,6 +109,35 @@ def _objective(kind: str, frac: Frac, b: float, num: Config):
     return objective
 
 
+def _orbit_objective(kind: str, frac: Frac, b: float, num: Config):
+    """``_objective`` of psi1 or psi2 as far as its sign, from the plateau-corner orbit.
+
+    Returns D_j once it certifies the sign (see the module docstring), and
+    the grid objective's value when no verdict comes within
+    (grid_base + grid_per_q * q) // STRIDE cycles or b is not above the
+    critical line.
+    """
+    grid = _objective(kind, frac, b, num)
+    if b <= SINE.b_critical:
+        return grid
+    lm = SINE.landmarks(b)
+    side, x0, s = ((BoundSide.LOWER, lm.k_minus, 1.0) if kind == "psi1"
+                   else (BoundSide.UPPER, lm.c_plus, -1.0))
+    p, q = frac.p, frac.q
+    cycles = (num.grid_base + num.grid_per_q * q) // STRIDE
+
+    def objective(a: float) -> float:
+        params, y = FamilyParams(a, b), x0
+        for j in range(1, cycles + 1):
+            y = SINE.iterate(params, side, y, q) - p  # stays near x0, so p costs no bits
+            d, tie = y - x0, ROUND_BAND * j * (q + abs(p))
+            if s * d > tie or s * d < -1.0 - tie:
+                return d
+        return grid(a)
+
+    return objective
+
+
 def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT) -> float:
     """The unique a at which the selected displacement extremum vanishes."""
     return bisect_root(_objective(kind, frac, b, num), *_default_bracket(frac, b),
@@ -129,13 +168,14 @@ def locking_interval(frac: Frac, b: float,
 
 
 def _sweep(sample, coords, b_lo: float, b_hi: float, steps: int, floor: float,
-           budget: float | None = None) -> list:
+           budget: float | None = None, drift=None) -> list:
     """``sample(b)`` at ``steps`` uniformly spaced b; adjacent jumps above budget are warned.
 
     One step samples ``b_lo`` alone.  ``coords(point)`` lists the (label,
     value) pairs compared between neighbouring samples.  The default budget
     scales with the step, never below ``floor``, so that regular drift in b
-    never trips it; only step-disproportionate jumps are flagged.
+    never trips it; only step-disproportionate jumps are flagged.  A
+    ``drift(b_prev, b)`` adds to the budget of each neighbouring pair.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -144,9 +184,10 @@ def _sweep(sample, coords, b_lo: float, b_hi: float, steps: int, floor: float,
         budget = max(floor, 2.0 * (b_hi - b_lo) / gaps)
     out = [sample(b_lo + (b_hi - b_lo) * i / gaps) for i in range(steps)]
     for prev, cur in zip(out, out[1:]):
+        allowed = budget + (drift(prev.b, cur.b) if drift else 0.0)
         for (label, v_prev), (_, v_cur) in zip(coords(prev), coords(cur)):
             jump = abs(v_cur - v_prev)
-            if jump > budget:
+            if jump > allowed:
                 warnings.warn(f"{label} jumps by {jump:.3g} between b={prev.b} and b={cur.b}",
                               RuntimeWarning, stacklevel=3)
     return out
@@ -210,7 +251,8 @@ def _first_crossing(objectives, frac: Frac, num: Config, full_scan: bool,
 def tip_by_width(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> Tip:
     """Lowest b above the critical line where the locking width reaches zero.
 
-    Each height is decided by the order of psi1 and psi2, which are solved
+    Each height is decided by the order of psi1 and psi2, read from
+    plateau-corner orbits above the critical line; psi1 and psi2 are solved
     only at the tip.  ``full_scan`` keeps scanning to the ceiling and records
     any further sign changes (a connected principal component has none).
     """
@@ -218,7 +260,7 @@ def tip_by_width(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> 
         raise ValueError(f"{frac} has no tip in the scanned range")
 
     def objectives(b: float):
-        return _objective("psi1", frac, b, num), _objective("psi2", frac, b, num)
+        return _orbit_objective("psi1", frac, b, num), _orbit_objective("psi2", frac, b, num)
 
     b_star, extras = _first_crossing(objectives, frac, num, full_scan, f"width tip of {frac}")
     psi1 = boundary("psi1", frac, b_star, num)

@@ -261,15 +261,21 @@ def trace_strand(frac: Frac, side: str, b_lo: float, b_hi: float, steps: int,
                  num: Config = DEFAULT, *, method: str = "bound") -> list[StrandPoint]:
     """Strand samples at uniformly spaced b; jumps above budget are warned.
 
-    The budget floor is wider than for tongue sections: strands move fastest
-    just above the critical line, where the landmark gap opens like a square
-    root.
+    The budget floor is wider than for tongue sections, and each step's
+    budget also admits the change of the landmark gap c_plus - k_minus:
+    strands move fastest just above the critical line, where that gap opens
+    like a square root.
     """
     if not SINE.b_critical <= b_lo <= b_hi:
         raise ValueError("need b_critical <= b_lo <= b_hi")
+
+    def gap(b: float) -> float:
+        lm = SINE.landmarks(b)
+        return lm.c_plus - lm.k_minus
+
     return _sweep(lambda b: strand_point(frac, side, b, num, method=method),
                   lambda pt: [(f"strand {side} of {frac}", pt.a)],
-                  b_lo, b_hi, steps, 0.05)
+                  b_lo, b_hi, steps, 0.05, drift=lambda b0, b1: abs(gap(b1) - gap(b0)))
 
 
 @cached(maxsize=1024)

@@ -124,6 +124,14 @@ def test_farey_ops():
     assert doc["path"] == ["1/2", "2/3", "3/5", "5/8", "8/13"]
 
 
+def test_farey_counts_must_be_positive(capsys):
+    for args in (["--op", "children", "--frac", "1/2", "--count", "-3"],
+                 ["--op", "children", "--frac", "1/2", "--count", "0"],
+                 ["--op", "path", "--omega", "0.5", "--depth", "0"]):
+        assert cli.main(["farey", *args]) == 1, args
+        assert "must be positive" in capsys.readouterr().err, args
+
+
 def test_construct_stage1_counts():
     doc = json.loads(run_cli("construct", "--stages", "1", "--format", "json").stdout)
     assert len(doc["vertices"]) == 6

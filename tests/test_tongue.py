@@ -1,9 +1,11 @@
+import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
-from fareyweb import rotation
+from fareyweb import rotation, tongue
 from fareyweb.config import DEFAULT, Config
 from fareyweb.errors import TipNotFoundError
 from fareyweb.farey import Frac
@@ -172,7 +174,7 @@ def test_cold_width_tip_extremum_budget(monkeypatch):
             monkeypatch.setattr(mod, "_disp_extremum", counted)
     tip = tip_by_width.__wrapped__(HALF)  # bypasses the cache
     assert (tip.a, tip.b) == PINNED_TIPS[HALF][:2]
-    assert 0 < len(calls) <= 450
+    assert 0 < len(calls) <= 100
 
 
 def _order(v: float, band: float) -> tuple[bool, ...]:
@@ -203,3 +205,95 @@ def test_grid_witness_sign_matches_refined_sign(frac):
                         unrefined += 1
                         assert abs(witness) <= abs(refined)
     assert unrefined > 0
+
+
+def _reference_rho(a, b, lower, n=100_000):
+    """d/n of an n-step orbit from 0 of each plateau bound, |d/n - rho| <= 1/n.
+
+    The bounds are re-derived from F alone: turning points from F' = 0, the
+    companions by bisection on the monotone branches, and the plateau cut
+    into a plain loop over numpy arrays.
+    """
+    a, b, lower = (np.asarray(v) for v in (a, b, lower))
+    amp = b / TWO_PI
+    c = np.arccos(-1.0 / b) / TWO_PI
+    k = 1.0 - c
+
+    def f0(x):
+        return x + amp * np.sin(TWO_PI * x)
+
+    top = np.where(lower, k, c)
+    # the companion of top on the other monotone branch: [0, c] or [k, 1]
+    lo, hi = np.where(lower, 0.0, k), np.where(lower, c, 1.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = f0(mid) < f0(top)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    comp = 0.5 * (lo + hi)
+    edge_lo, edge_hi = np.where(lower, comp, c), np.where(lower, k, comp)
+    flat = f0(top) + a
+    t, carry = np.zeros_like(a), np.zeros_like(a)
+    for _ in range(n):
+        v = np.where((t >= edge_lo) & (t <= edge_hi), flat, t + a + amp * np.sin(TWO_PI * t))
+        whole = np.floor(v)
+        t, carry = v - whole, carry + whole
+    return (carry + t) / n
+
+
+def test_orbit_verdicts_against_long_reference_orbits(monkeypatch):
+    rng = random.Random(11)
+    n = 100_000
+    # near the critical line the extremum leaves the plateau corner for small
+    # q, so the corner's own sign would mislead there; b crowds toward it
+    draws = [(HALF, 1.05), (Frac(1, 3), 1.02)]
+    for _ in range(10):
+        q = rng.randint(2, 13)
+        p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
+        draws.append((Frac(p, q), 1.02 + 2.48 * rng.random() ** 3))
+    roots = [(frac, b, kind, boundary(kind, frac, b))
+             for frac, b in draws for kind in ("psi1", "psi2")]
+    # a fallback would read the grid; NaN marks it so that only orbit verdicts count
+    monkeypatch.setattr(tongue, "_objective", lambda *args: lambda a: math.nan)
+    cases = []
+    for frac, b, kind, root in roots:
+        test = tongue._orbit_objective(kind, frac, b, DEFAULT)
+        for _ in range(6):
+            a = root + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-9, math.log10(0.2))
+            cases.append((frac, b, kind, a, test(a), a > root))
+    decided = [c for c in cases if not math.isnan(c[4])]
+    # inside a tongue whose extremum left the corner the orbit decides nothing
+    assert len(decided) >= 0.75 * len(cases)
+    rho = _reference_rho([c[3] for c in decided], [c[1] for c in decided],
+                         [c[2] == "psi1" for c in decided], n)
+    for (frac, b, kind, a, v, beyond), r in zip(decided, rho):
+        # psi1 reads max g_L >= 0, i.e. rho(L) >= p/q; psi2 reads min g_U > 0, i.e. rho(U) > p/q
+        at_least = v >= 0.0 if kind == "psi1" else v > 0.0
+        # both objectives increase in a, so the grid root orders every probe;
+        # inside the tongue, where rho = p/q, the reference orbit cannot
+        assert at_least == beyond, (frac, b, kind, a, v)
+        if at_least:
+            assert r >= frac.value - 2.0 / n, (frac, b, kind, a, v, r)
+        else:
+            assert r <= frac.value + 2.0 / n, (frac, b, kind, a, v, r)
+
+
+def test_orbit_objective_takes_the_grid_path_up_to_the_critical_line(monkeypatch):
+    calls = []
+    original = rotation._disp_extremum
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(tongue, "_disp_extremum", counted)
+    for b in (0.6, 1.0, 1.5):
+        for kind in ("psi1", "psi2"):
+            orbit, grid = (make(kind, HALF, b, DEFAULT)
+                           for make in (tongue._orbit_objective, tongue._objective))
+            for a in (0.4, 0.5, 0.6):
+                del calls[:]
+                v = orbit(a)
+                made = len(calls)
+                assert (v >= 0.0) == (grid(a) >= 0.0), (b, kind, a)
+                # up to b = 1 the grid decides; above it the corner orbit does
+                assert made == (1 if b <= SINE.b_critical else 0), (b, kind, a)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,15 @@ def test_trace_strand_rows():
     pts = trace_strand(ZERO, "R", 1.0, 2.0, 11)
     assert abs(pts[0].a) < 1e-9
     assert all(p.constraints_verified for p in pts)
+
+
+def test_trace_strand_budget_admits_the_landmark_gap():
+    # the 0/1 and 1/1 strands open with the landmark gap just above the
+    # critical line: a first step of 0.068 in a while the gap moves 0.135
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for frac, side in ((ZERO, "R"), (ONE, "L")):
+            trace_strand(frac, side, 1.0, 1.55, 25)
 
 
 def test_constraints_verified_through_q8():
