@@ -17,8 +17,7 @@ from .rotation import (Enclosure, LockStatus, RotationInterval,
 from .tongue import (Tip, TongueSection, boundary, locking_interval, section,
                      tip_by_width, trace)
 from .web import (StrandPoint, TwistCycle, b_point, strand_point,
-                  tip_by_intersection, trace_strand, twist_cycles,
-                  verify_tip_cycle)
+                  tip_by_intersection, trace_strand, twist_cycles)
 from .verify import Report, TrichotomyResult, run_suite, trichotomy
 
 __version__ = "0.1.0"
@@ -35,6 +34,6 @@ __all__ = [
     "Tip", "TongueSection", "boundary", "locking_interval", "section",
     "tip_by_width", "trace",
     "StrandPoint", "TwistCycle", "b_point", "strand_point",
-    "tip_by_intersection", "trace_strand", "twist_cycles", "verify_tip_cycle",
+    "tip_by_intersection", "trace_strand", "twist_cycles",
     "Report", "TrichotomyResult", "run_suite", "trichotomy",
 ]

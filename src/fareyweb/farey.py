@@ -183,9 +183,9 @@ def path_to_real(omega, depth: int) -> list[Frac]:
         raise ValueError("depth must be positive")
     if isinstance(omega, Frac):
         target = _ExactRational(omega.p, omega.q)
-    else:
+    elif 0 <= omega <= 1:  # false for nan; inf has no exact rational value
         target = _ExactRational(omega)  # exact binary value of the float
-    if not 0 <= target <= 1:
+    else:
         raise ValueError(f"omega must lie in [0, 1], got {omega}")
     lo, hi = (0, 1), (1, 1)
     out: list[Frac] = []

@@ -88,6 +88,13 @@ def _sine_landmarks(b: float) -> Landmarks:
     return Landmarks(b, c, k, k_minus, c_plus)
 
 
+@lru_cache(maxsize=None)
+def _plateau(side: BoundSide, b: float) -> tuple[float, float, float]:
+    """(lo, hi, top) for b > 1: the bound is flat on [lo, hi] mod 1 at its value at top."""
+    lm = _sine_landmarks(float(b))
+    return (lm.k_minus, lm.k, lm.k) if side is BoundSide.LOWER else (lm.c, lm.c_plus, lm.c)
+
+
 class SineFamily:
     """x + a + (b / 2 pi) sin(2 pi x).
 
@@ -119,16 +126,11 @@ class SineFamily:
     def landmarks(self, b: float) -> Landmarks:
         return _sine_landmarks(float(b))
 
-    def _plateau(self, side: BoundSide, b: float) -> tuple[float, float, float]:
-        """(lo, hi, top) for b > 1: the bound is flat on [lo, hi] mod 1 at its value at top."""
-        lm = self.landmarks(b)
-        return (lm.k_minus, lm.k, lm.k) if side is BoundSide.LOWER else (lm.c, lm.c_plus, lm.c)
-
     def bound_eval(self, params: FamilyParams, side: BoundSide, x: float) -> float:
         """The selected map at one point; degree one is preserved exactly."""
         if side is BoundSide.RAW or params.b <= self.b_critical:
             return self.eval(params, x)
-        lo, hi, top = self._plateau(side, params.b)
+        lo, hi, top = _plateau(side, params.b)
         t = x - math.floor(x)
         return self.eval(params, top if lo <= t <= hi else t) + (x - t)
 
@@ -176,13 +178,8 @@ class SineFamily:
                     t -= 1.0
                     carry += 1.0
             return carry + t
-        lm = self.landmarks(params.b)
-        if side is BoundSide.LOWER:
-            lo_edge, hi_edge = lm.k_minus, lm.k
-            flat = lm.k + a + amp * math.sin(TWO_PI * lm.k)
-        else:
-            lo_edge, hi_edge = lm.c, lm.c_plus
-            flat = lm.c + a + amp * math.sin(TWO_PI * lm.c)
+        lo_edge, hi_edge, top = _plateau(side, params.b)
+        flat = top + a + amp * math.sin(TWO_PI * top)
         for _ in range(n):
             if lo_edge <= t <= hi_edge:
                 v = flat
@@ -222,7 +219,7 @@ class SineFamily:
         # the map takes the value flat on [lo_edge, hi_edge]; raw maps have no plateau
         plateau = side is not BoundSide.RAW and b.max(initial=0.0) > self.b_critical
         if plateau:
-            edges = [self._plateau(side, bv) if bv > self.b_critical else (np.inf, -np.inf, 0.0)
+            edges = [_plateau(side, bv) if bv > self.b_critical else (np.inf, -np.inf, 0.0)
                      for bv in b.ravel().tolist()]
             lo_edge, hi_edge, top = (edges[0] if b.ndim == 0 else
                                      (np.reshape(col, b.shape) for col in zip(*edges)))

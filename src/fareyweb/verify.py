@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Config
-from .farey import Frac, child, is_higher, path_to_real
+from .farey import Frac, child, is_higher, parents, path_to_real
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
 from .rotation import displacement_extrema
 from .tongue import boundary, section, tip_by_width
-from .web import _strand_objective, b_point, strand_point, strand_sides
+from .web import (_cycle_shift, _raw_orbit, _strand_objective, b_point, strand_point,
+                  strand_sides)
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -301,6 +302,8 @@ def theorem5(frac: Frac = Frac(1, 2), jmax: int = 6, irr_depth: int = 5,
 
 def schwarzian_negativity(bs=(1.2, 2.0), n_grid: int = 1024, num: Config = DEFAULT) -> Report:
     """The Schwarzian derivative stays negative where |F'| > 1e-6 (``num`` unused)."""
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be positive, got {n_grid}")
     rep = Report("schwarzian")
     for b in bs:
         params = FamilyParams(0.0, b)
@@ -331,6 +334,38 @@ def fact9_tangency(frac: Frac = Frac(0, 1), b: float = 1.5, num: Config = DEFAUL
     return rep
 
 
+def tip_cycle(fracs=DEFAULT_CHAIN, num: Config = DEFAULT) -> Report:
+    """At each width tip the orbit of k_minus is a twist cycle fixed by the parents.
+
+    The parents' strand equations hold on the raw map to 1e-8 (F^q1(k_minus) =
+    c_plus + p1, F^q2(c_plus) = k_minus + p2); the cycle misses the gap
+    (k_minus, c_plus) by 1e-6; F^q1 moves it one place forward and F^q2 one
+    back, each point within 1e-6, as q-fold composition amplifies tip error.
+    """
+    rep = Report("tip_cycle")
+    tol = 1e-6
+    for f in fracs:
+        tip = tip_by_width(f, num)
+        left, right = parents(f)
+        for parent, side, x0, x1 in ((left, "R", "k_minus", "c_plus"),
+                                     (right, "L", "c_plus", "k_minus")):
+            residual = abs(_strand_objective(parent, side, tip.b, raw=True)(tip.a))
+            rep.check_le(f"F^{parent.q}({x0})={x1}+{parent.p} at tip({f})", residual, 1e-8)
+        lm = SINE.landmarks(tip.b)
+        params = FamilyParams(tip.a, tip.b)
+        pts = sorted(x % 1.0 for x in _raw_orbit(params, lm.k_minus, f.q - 1))
+        # how far the deepest cycle point lies inside the gap; <= 0 outside it
+        depth = max(min(t - lm.k_minus, lm.c_plus - t) for t in pts)
+        rep.check_le(f"cycle misses (k_minus, c_plus) at tip({f})", depth, tol)
+        for n, k in ((left.q, 1), (right.q, f.q - 1)):
+            images = [SINE.iterate(params, BoundSide.RAW, y, n) for y in pts]
+            shift = _cycle_shift(pts, images, tol)
+            rep.add(f"F^{n} shifts the {f.q}-cycle by {k} at tip({f})",
+                    -1 if shift is None else shift, k, shift == k,
+                    "" if shift is not None else f"no shift fits within {tol:g}")
+    return rep
+
+
 SUITES = {
     "fact1_order": fact1_order,
     "theorem1": theorem1,
@@ -341,6 +376,7 @@ SUITES = {
     "theorem5": theorem5,
     "schwarzian": schwarzian_negativity,
     "fact9_tangency": fact9_tangency,
+    "tip_cycle": tip_cycle,
 }
 
 

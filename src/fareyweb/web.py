@@ -71,32 +71,6 @@ class TwistCycle:
     crossing: int
 
 
-@dataclass(frozen=True)
-class TipCycleReport:
-    """Checks of the two orbit identities and cycle combinatorics at a tip."""
-
-    frac: Frac
-    a: float
-    b: float
-    q1: int
-    p1: int
-    q2: int
-    p2: int
-    residual_right: float  # |F^q1(k_minus) - (c_plus + p1)|
-    residual_left: float   # |F^q2(c_plus) - (k_minus + p2)|
-    misses_gap: bool       # cycle avoids the open interval (k_minus, c_plus) mod 1
-    succ_ok: bool          # q1 steps advance the sorted cycle by one position
-    pred_ok: bool          # q2 steps retreat the sorted cycle by one position
-    identity_tol: float
-    combinatorics_tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.residual_right <= self.identity_tol
-                and self.residual_left <= self.identity_tol
-                and self.misses_gap and self.succ_ok and self.pred_ok)
-
-
 def _circle_dist(x: float, y: float) -> float:
     d = (x - y) % 1.0
     return min(d, 1.0 - d)
@@ -133,9 +107,14 @@ def _strand_ends(frac: Frac, side: str, lm) -> tuple[float, float, BoundSide]:
     return lm.c_plus, lm.k_minus + frac.p, BoundSide.UPPER
 
 
-def _strand_objective(frac: Frac, side: str, b: float):
-    """bound^q(x0) - target at height b as a function of a; it grows at least as fast as a."""
+def _strand_objective(frac: Frac, side: str, b: float, raw: bool = False):
+    """bound^q(x0) - target at height b as a function of a; it grows at least as fast as a.
+
+    ``raw`` puts the raw map in place of the bound in the same equation (same
+    x0 and target); that objective need not be monotone.
+    """
     x0, target, bound = _strand_ends(frac, side, SINE.landmarks(b))
+    bound = BoundSide.RAW if raw else bound
 
     def objective(a: float) -> float:
         return SINE.iterate(FamilyParams(a, b), bound, x0, frac.q) - target
@@ -206,8 +185,7 @@ def _raw_strand_roots(frac: Frac, side: str, b: float, lo: float, hi: float,
     x0, target, _ = _strand_ends(frac, side, SINE.landmarks(b))
     a_grid = np.linspace(lo, hi, 8192 + 1024 * frac.q)
     g = SINE.iterate_grid(a_grid, b, BoundSide.RAW, x0, frac.q) - target
-    return _grid_roots(lambda a: SINE.iterate(FamilyParams(a, b), BoundSide.RAW, x0, frac.q)
-                       - target, a_grid, g, xtol)
+    return _grid_roots(_strand_objective(frac, side, b, raw=True), a_grid, g, xtol)
 
 
 def _segment_is_twist(frac: Frac, side: str, a: float, b: float) -> bool:
@@ -285,6 +263,7 @@ def b_point(frac: Frac, num: Config = DEFAULT) -> tuple[float, float]:
     On the critical line both bounds are the raw map and all four landmarks
     are the critical point c, so the strand equation there reads F^q(c) = c + p.
     """
+    _check_cap(frac, num)
     b = SINE.b_critical
     return _strand_root(frac, "R", b, num), b
 
@@ -403,35 +382,3 @@ def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac,
             "at most two are possible for this family")
     return cycles
 
-
-def verify_tip_cycle(tip: Tip, *, identity_tol: float = 1e-8,
-                     combinatorics_tol: float = 1e-6) -> TipCycleReport:
-    """Check the orbit identities and cycle structure at a tip.
-
-    At the tip, k_minus reaches c_plus + p1 in q1 steps and c_plus reaches
-    k_minus + p2 in q2 steps (parents p1/q1 and p2/q2); the union is a twist
-    cycle avoiding the open gap between k_minus and c_plus.  The identity
-    residuals are held to ``identity_tol``.  F^q1 must move the sorted cycle
-    one place forward and F^q2 one place back, each point matched within the
-    looser ``combinatorics_tol`` since q-fold composition amplifies the tip's
-    own coordinate tolerance.
-    """
-    left, right = parents(tip.frac)
-    q1, p1 = left.q, left.p
-    q2, p2 = right.q, right.p
-    lm = SINE.landmarks(tip.b)
-    params = FamilyParams(tip.a, tip.b)
-    res_r = abs(SINE.iterate(params, BoundSide.RAW, lm.k_minus, q1) - (lm.c_plus + p1))
-    res_l = abs(SINE.iterate(params, BoundSide.RAW, lm.c_plus, q2) - (lm.k_minus + p2))
-
-    # the raw orbit of k_minus is the candidate cycle
-    q = tip.frac.q
-    pts = sorted(x % 1.0 for x in _raw_orbit(params, lm.k_minus, q - 1))
-    gap_lo, gap_hi = lm.k_minus, lm.c_plus
-    misses = all(not (gap_lo + combinatorics_tol < t < gap_hi - combinatorics_tol)
-                 for t in pts)
-    succ_ok, pred_ok = (_cycle_shift(pts, [SINE.iterate(params, BoundSide.RAW, y, n)
-                                           for y in pts], combinatorics_tol) == k % q
-                        for n, k in ((q1, 1), (q2, q - 1)))
-    return TipCycleReport(tip.frac, tip.a, tip.b, q1, p1, q2, p2, res_r, res_l,
-                          misses, succ_ok, pred_ok, identity_tol, combinatorics_tol)

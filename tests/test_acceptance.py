@@ -19,7 +19,7 @@ from fareyweb.lift import SINE, FamilyParams
 from fareyweb.rotation import orbit_averages, rot_interval
 from fareyweb.tongue import boundary, section, tip_by_width
 from fareyweb.verify import run_suite
-from fareyweb.web import b_point, strand_point, tip_by_intersection, verify_tip_cycle
+from fareyweb.web import b_point, strand_point, tip_by_intersection
 
 HALF = Frac(1, 2)
 
@@ -134,15 +134,13 @@ def test_criterion_08_theorem5_tip_sequences():
 
 def test_criterion_09_tip_cycles():
     t0 = time.time()
-    ok = True
-    details = []
-    for frac in (HALF, Frac(1, 3), Frac(2, 5), Frac(3, 8)):
-        rep = verify_tip_cycle(tip_by_width(frac))
-        ok &= rep.passed
-        ok &= max(rep.residual_right, rep.residual_left) <= 1e-8
-        details.append(f"{frac}:q1={rep.q1},q2={rep.q2}")
+    rep = run_suite("tip_cycle", fracs=(HALF, Frac(1, 3), Frac(2, 5), Frac(3, 8)))
+    identities = [c for c in rep.cases if c.threshold == 1e-8]
+    ok = rep.passed and len(identities) == 8 and all(c.measured <= 1e-8 for c in identities)
     report(9, "twist-cycle identities at the four tips (residual <= 1e-8)",
-           ok, time.time() - t0, " ".join(details))
+           ok, time.time() - t0,
+           "; ".join(f"{c.label}={c.measured:.3g}" for c in rep.cases if not c.passed)
+           or rep.summary)
 
 
 def _proper_crossing(s1, s2, eps=1e-12):

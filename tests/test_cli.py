@@ -132,6 +132,12 @@ def test_farey_counts_must_be_positive(capsys):
         assert "must be positive" in capsys.readouterr().err, args
 
 
+def test_farey_path_rejects_non_finite_omega(capsys):
+    for omega in ("inf", "-inf", "nan", "1e400"):
+        assert cli.main(["farey", "--op", "path", f"--omega={omega}"]) == 1, omega
+        assert "error: omega must lie in [0, 1]" in capsys.readouterr().err, omega
+
+
 def test_construct_stage1_counts():
     doc = json.loads(run_cli("construct", "--stages", "1", "--format", "json").stdout)
     assert len(doc["vertices"]) == 6
@@ -179,6 +185,12 @@ def test_strand_csv():
 def test_bpoint_json():
     doc = json.loads(run_cli("bpoint", "--frac", "1/2").stdout)
     assert abs(doc["a"] - 0.5) < 1e-10 and doc["b"] == 1.0
+
+
+def test_bpoint_checks_the_cap(capsys):
+    for argv in (["bpoint", "--frac", "1/200"], ["--set", "q_cap=2", "bpoint", "--frac", "1/3"]):
+        assert cli.main(argv) == 1, argv
+        assert "exceeds cap" in capsys.readouterr().err, argv
 
 
 def test_tip_intersection_json():
@@ -284,7 +296,8 @@ def test_verify_without_cases_exits_1(capsys):
     # a suite that checks nothing must not pass; a chain of one value has no margin
     for suite, param, needles in (("theorem2", "jmax=0", ("'theorem2'", "jmax", "nothing")),
                                   ("corollary1", "chain=1/2", ("at least two values",)),
-                                  ("theorem5", "jmax=1", ("at least two values",))):
+                                  ("theorem5", "jmax=1", ("at least two values",)),
+                                  ("schwarzian", "n_grid=0", ("n_grid", "positive"))):
         assert cli.main(["verify", "--suite", suite, "--param", param]) == 1, suite
         err = capsys.readouterr().err
         assert all(needle in err for needle in needles), (suite, err)
@@ -322,6 +335,17 @@ def test_verify_json_output():
     proc = run_cli("verify", "--suite", "fact9_tangency", "--json")
     doc = json.loads(proc.stdout)
     assert doc["suite"] == "fact9_tangency" and doc["passed"]
+
+
+def test_verify_json_is_strict_with_finite_slack():
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    for suite in ("schwarzian", "fact9_tangency", "tip_cycle"):
+        proc = run_cli("verify", "--suite", suite, "--json")
+        doc = json.loads(proc.stdout, parse_constant=reject)
+        assert doc["suite"] == suite and doc["cases"], suite
+        assert all(np.isfinite(c["slack"]) for c in doc["cases"]), suite
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -90,6 +90,12 @@ def test_path_to_real_examples():
     assert path_to_real(Frac(1, 2), 4) == frs((1, 2), (1, 3), (2, 5), (3, 7))
 
 
+def test_path_to_real_rejects_non_finite():
+    for omega in (math.inf, -math.inf, math.nan, 1.5):
+        with pytest.raises(ValueError, match=r"omega must lie in \[0, 1\]"):
+            path_to_real(omega, 3)
+
+
 def test_simplest_in_interval_examples():
     assert simplest_in_interval(0.30, 0.35, 10) == Frac(1, 3)
     assert simplest_in_interval(0.5, 0.5, 10) == Frac(1, 2)

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from fareyweb import verify
 from fareyweb.farey import Frac
 from fareyweb.verify import SUITES, Report, run_suite, trichotomy
 
@@ -87,7 +89,18 @@ def test_theorem2_single_child():
     assert rep.passed, rep.to_text()
 
 
+def test_tip_cycle_fails_off_the_tip(monkeypatch):
+    # 1e-6 off the tip in a, both parent strand equations miss by about 1e-6
+    real = verify.tip_by_width
+    monkeypatch.setattr(verify, "tip_by_width",
+                        lambda f, num: replace(real(f, num), a=real(f, num).a + 1e-6))
+    rep = run_suite("tip_cycle", fracs=HALF)
+    identities = rep.cases[:2]
+    assert all(not c.passed and c.slack < 0 for c in identities), rep.to_text()
+    assert not rep.passed
+
+
 def test_all_suites_registered():
     assert set(SUITES) == {"fact1_order", "theorem1", "theorem2", "theorem3",
                            "theorem4", "corollary1", "theorem5", "schwarzian",
-                           "fact9_tangency"}
+                           "fact9_tangency", "tip_cycle"}

@@ -8,8 +8,9 @@ from fareyweb.config import DEFAULT, Config
 from fareyweb.farey import Frac, child
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
 from fareyweb.tongue import boundary, tip_by_width
+from fareyweb.verify import run_suite
 from fareyweb.web import (_grid_roots, b_point, strand_point, strand_sides,
-                          tip_by_intersection, trace_strand, twist_cycles, verify_tip_cycle)
+                          tip_by_intersection, trace_strand, twist_cycles)
 
 HALF = Frac(1, 2)
 ZERO = Frac(0, 1)
@@ -97,6 +98,12 @@ def test_b_point_anchors():
     assert b_point(ZERO) == pytest.approx((0.0, 1.0), abs=1e-10)
     assert b_point(ONE) == pytest.approx((1.0, 1.0), abs=1e-10)
     assert b_point(HALF) == pytest.approx((0.5, 1.0), abs=1e-10)
+
+
+def test_b_point_checks_the_cap():
+    for frac, num in ((Frac(1, 200), DEFAULT), (Frac(1, 3), Config(q_cap=2))):
+        with pytest.raises(ValueError, match=f"denominator {frac.q} exceeds cap {num.q_cap}"):
+            b_point(frac, num)
 
 
 def test_web_caches_share_call_forms():
@@ -241,14 +248,23 @@ def test_twist_cycles_empty_outside_tongue():
     assert cycles == []
 
 
+def _tip_cycle_cases(frac):
+    rep = run_suite("tip_cycle", fracs=frac)
+    assert rep.passed, rep.to_text()
+    identities, gap, shifts = rep.cases[:2], rep.cases[2], rep.cases[3:]
+    assert all(c.measured <= 1e-8 for c in identities)
+    assert gap.threshold == 1e-6 and gap.measured <= 1e-6
+    assert all(c.measured == c.threshold for c in shifts)
+    return rep.cases
+
+
 def test_verify_tip_cycle_half():
-    rep = verify_tip_cycle(tip_by_width(HALF))
-    assert rep.passed
-    assert rep.q1 == rep.q2 == 1
-    assert rep.residual_right < 1e-8 and rep.residual_left < 1e-8
+    cases = _tip_cycle_cases(HALF)
+    assert cases[0].label.startswith("F^1(k_minus)") and cases[1].label.startswith("F^1(c_plus)")
+    # the raw strand equations of the parents 0/1 and 1/1, read at the width tip
+    assert [c.measured for c in cases[:2]] == [4.653610830018806e-12, 4.653166740808956e-12]
 
 
 def test_verify_tip_cycle_third():
-    rep = verify_tip_cycle(tip_by_width(Frac(1, 3)))
-    assert rep.passed
-    assert (rep.q1, rep.q2) == (1, 2)
+    cases = _tip_cycle_cases(Frac(1, 3))
+    assert cases[0].label.startswith("F^1(k_minus)") and cases[1].label.startswith("F^2(c_plus)")
