@@ -22,7 +22,7 @@ class Config:
     rot_tol: float = 1e-6        # rotation-number enclosure target width
     rot_max_iter: int = 10_000_000
     scan_tol: float = 1e-3       # coarser enclosure width for raster scans
-    solver_tol: float = 1e-12    # bisection width in a
+    solver_tol: float = 1e-12    # root-bracket width in a
     b_tol: float = 1e-10         # bisection width in b (tips)
     b_step: float = 0.01         # coarse scan step in b
     b_ceiling: float = 4.0

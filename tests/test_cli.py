@@ -348,6 +348,15 @@ def test_verify_json_is_strict_with_finite_slack():
         assert all(np.isfinite(c["slack"]) for c in doc["cases"]), suite
 
 
+def test_verify_tip_cycle_json_exports_shift_slack():
+    doc = json.loads(run_cli("verify", "--suite", "tip_cycle", "--json").stdout)
+    shifts = [c for c in doc["cases"] if " shifts the " in c["label"]]
+    assert len(shifts) == 8
+    # each shift case reports how far its farthest image lies inside the 1e-6 band
+    assert all(c["passed"] and 0.0 < c["slack"] < c["threshold"] == 1e-6 for c in shifts)
+    assert doc["worst_residual"] == min(c["slack"] for c in doc["cases"]) > 0.0
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("rot_tol = 1e-3\nq_cap=128\n# comment\n")
@@ -362,7 +371,7 @@ GOLDEN = [
     (["--set", "rot_tol=1e-4", "rotnum", "--a", "0.3", "--b", "1.8"],
      "2ec6b1631f18fcf4bd0e724abbd5e48a46475790d2dedd191e7350f5e277864c"),
     (["tongue", "--frac", "1/2", "--b", "1:1.5:3"],
-     "4e05ecb19a9173968ad633655c27c7c26bb840c04170bb5b45543f0080981d5c"),
+     "721dc0a9c3507b5f2cd50149ee19c639d80344535500e85e521c2b748dd7aa15"),
     (["strand", "--frac", "3/8", "--side", "R", "--b", "1:2:5", "--method", "continued"],
      "184130fec39a525a536c3bb45f2df711d792fa3c58b59cc967d6b5777f109691"),
     (["bpoint", "--frac", "3/8"],
@@ -376,7 +385,7 @@ GOLDEN = [
     (["scan", "--a", "0:0.5:4", "--b", "1.0:1.2:3", "--mode", "width", "--format", "pgm"],
      "34fca028e3d5c8cbd9656a4945048be658f775064fb39079a230e6c897078385"),
     (["verify", "--suite", "fact9_tangency", "--json"],
-     "0d552f89bdc07e516ead006efc00da326880a6eb3bcc5f3a6148bc1a3e5fa0e8"),
+     "18f1a5c235de5c17734a725aac15e9f17e24006e8cf9f4b57366afe28fcc08ad"),
     (["construct", "--stages", "3", "--format", "svg"],
      "31f62dc2f6547ccfc1a46c6aa1b439fad5b0d6a5c07cf3fa0ee240eb7f61a487"),
 ]

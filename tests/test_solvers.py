@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from fareyweb.errors import BracketError
-from fareyweb.solvers import bisect_bracket, bisect_root, root_order
+from fareyweb.solvers import bisect_bracket, bisect_root, newton_root, root_order
 
 
 def test_bisect_root_exact_zeros():
@@ -77,3 +79,73 @@ def test_root_order_raises_when_the_roots_lie_beyond_the_bracket(lo, hi, x0):
         root_order(*_linear_pair(0.55, 0.65, probes), lo, hi, x0, 0.01, 1e-12)
     assert all(lo <= p <= hi for p in probes)
     assert (lo if x0 > 0.6 else hi) in probes  # the bracket end was probed
+
+
+def _logged(f, probes, slope=None):
+    """f as a (value, slope) objective that logs each (x, value); slope overrides f's."""
+    def g(x):
+        v, d = f(x)
+        probes.append((x, v))
+        return v, d if slope is None else slope
+    return g
+
+
+def _final_bracket(probes) -> tuple[float, float]:
+    """The tightest sign change among the probes of an increasing f."""
+    return (max(x for x, v in probes if v < 0.0), min(x for x, v in probes if v > 0.0))
+
+
+def _cubic(x):
+    return x ** 3 + x - 0.7, 3.0 * x * x + 1.0
+
+
+def test_newton_root_shares_the_bisect_contract():
+    for lo, hi in ((0.0, 1.0), (1.0, 0.0)):  # no sign change; empty bracket
+        with pytest.raises(BracketError):
+            newton_root(lambda x: (x + 1.0, 1.0), lo, hi)
+    with pytest.raises(BracketError):
+        newton_root(lambda x: (-x, -1.0), -1.0, 1.0)  # decreasing
+    probes = []
+    # a zero at an end is the root, with no further evaluation
+    assert newton_root(_logged(lambda x: (x - 0.25, 1.0), probes), 0.25, 1.0) == 0.25
+    assert probes == [(0.25, 0.0), (1.0, 0.75)]
+    assert newton_root(lambda x: (x - 1.0, 1.0), 0.25, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("xtol", [1e-12, 1e-6, 0.1])
+def test_newton_root_ends_on_a_sign_change_no_wider_than_xtol(xtol):
+    probes = []
+    root = newton_root(_logged(_cubic, probes), -1.0, 1.0, xtol)
+    lo, hi = _final_bracket(probes)
+    assert hi - lo <= xtol and root == 0.5 * (lo + hi)
+    assert all(-1.0 <= x <= 1.0 for x, _ in probes)
+    if xtol == 1e-12:
+        assert len(probes) < 12  # bisection takes 43
+
+
+@pytest.mark.parametrize("slope", [0.0, -1.0, math.nan, math.inf])
+def test_newton_root_bisects_without_a_usable_slope(slope):
+    probes, bisected = [], []
+    root = newton_root(_logged(_cubic, probes, slope), -1.0, 1.0)
+    assert root == bisect_root(lambda x: bisected.append(x) or _cubic(x)[0], -1.0, 1.0)
+    assert [x for x, _ in probes] == bisected
+    lo, hi = _final_bracket(probes)
+    assert hi - lo <= 1e-12 and root == 0.5 * (lo + hi)
+
+
+def test_newton_root_steps_outside_the_bracket_bisect():
+    # far from 0.3 the arctangent's Newton steps leave the bracket
+    probes = []
+    f = lambda x: (math.atan(20.0 * (x - 0.3)), 20.0 / (1.0 + 400.0 * (x - 0.3) ** 2))  # noqa: E731
+    root = newton_root(_logged(f, probes), -1.0, 3.0)
+    assert abs(root - 0.3) <= 1e-12 and all(-1.0 <= x <= 3.0 for x, _ in probes)
+    assert len(probes) < 20
+
+
+def test_newton_root_with_tiny_steps_stays_near_bisection_cost():
+    # a slope of 1e30 makes every step xtol/2 long, until bisection takes over
+    probes = []
+    root = newton_root(_logged(lambda x: (x - 0.6, 1e30), probes), 0.0, 1.0)
+    lo, hi = _final_bracket(probes)
+    assert hi - lo <= 1e-12 and lo <= 0.6 <= hi and root == 0.5 * (lo + hi)
+    assert len(probes) <= 2 * 42

@@ -11,6 +11,7 @@ from fareyweb.errors import TipNotFoundError
 from fareyweb.farey import Frac
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
 from fareyweb.rotation import displacement_extrema
+from fareyweb.solvers import bisect_root
 from fareyweb.tongue import (boundary, locking_interval, section, tip_by_width,
                              trace)
 
@@ -161,7 +162,8 @@ def test_tip_cache_shares_call_forms():
     assert all(t is forms[0] for t in forms)
 
 
-def test_cold_width_tip_extremum_budget(monkeypatch):
+def _count_extrema(monkeypatch) -> list:
+    """Every binding of ``_disp_extremum`` logs its calls into the returned list."""
     calls = []
     original = rotation._disp_extremum
 
@@ -172,9 +174,40 @@ def test_cold_width_tip_extremum_budget(monkeypatch):
     for mod in [m for name, m in sys.modules.items() if name.startswith("fareyweb")]:
         if getattr(mod, "_disp_extremum", None) is original:
             monkeypatch.setattr(mod, "_disp_extremum", counted)
+    return calls
+
+
+def test_cold_width_tip_extremum_budget(monkeypatch):
+    calls = _count_extrema(monkeypatch)
     tip = tip_by_width.__wrapped__(HALF)  # bypasses the cache
     assert (tip.a, tip.b) == PINNED_TIPS[HALF][:2]
     assert 0 < len(calls) <= 100
+
+
+def _fine_raw_extremum(kind: str, frac: Frac, a: float, b: float, n: int = 2 ** 18) -> float:
+    """phi's displacement extremum on n grid points, by plain numpy (not ``iterate_grid``)."""
+    xs = np.arange(n) / n
+    ys = xs.copy()
+    for _ in range(frac.q):
+        ys = ys + a + b / TWO_PI * np.sin(TWO_PI * ys)
+    g = ys - xs - frac.p
+    return float(g.min() if kind == "phi1" else g.max())
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 1.3, 2.5])
+@pytest.mark.parametrize("frac", [ZERO, HALF, Frac(1, 3), Frac(2, 5), Frac(3, 8), Frac(5, 13)])
+@pytest.mark.parametrize("kind", ["phi1", "phi2"])
+def test_phi_newton_root_against_bisection_and_a_fine_grid(monkeypatch, kind, frac, b):
+    calls = _count_extrema(monkeypatch)
+    root = boundary(kind, frac, b)
+    assert type(root) is float and len(calls) <= 20
+    bracket = tongue._default_bracket(frac, b)
+    bisected = bisect_root(tongue._objective(kind, frac, b, DEFAULT), *bracket,
+                           DEFAULT.solver_tol)
+    assert abs(root - bisected) <= DEFAULT.solver_tol
+    # the extremum crosses zero between root -+ 1e-6 on a grid 24-57x finer than the library's
+    assert (_fine_raw_extremum(kind, frac, root - 1e-6, b) < 0.0
+            < _fine_raw_extremum(kind, frac, root + 1e-6, b))
 
 
 def _order(v: float, band: float) -> tuple[bool, ...]:

@@ -254,7 +254,7 @@ def _tip_cycle_cases(frac):
     identities, gap, shifts = rep.cases[:2], rep.cases[2], rep.cases[3:]
     assert all(c.measured <= 1e-8 for c in identities)
     assert gap.threshold == 1e-6 and gap.measured <= 1e-6
-    assert all(c.measured == c.threshold for c in shifts)
+    assert all(c.threshold == 1e-6 and 0.0 <= c.measured <= 1e-6 for c in shifts)
     return rep.cases
 
 
