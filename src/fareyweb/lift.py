@@ -104,7 +104,9 @@ class SineFamily:
     point, and the compositions: every orbit runs either in the scalar loop of
     ``iterate`` or in ``iterate_grid``, the one array pass, which matches it
     bit for bit (``iterate_array`` is that pass at one parameter pair).
-    ``a_slope`` carries the a-derivative of a raw composition along one orbit.
+    ``iterate_slope`` is ``iterate``'s loop with the a-derivative carried
+    along, for the Newton solves on strands and phi; it is a separate loop so
+    that ``iterate`` itself carries no flag.
     """
 
     b_critical = 1.0
@@ -194,12 +196,37 @@ class SineFamily:
                 carry += 1.0
         return carry + t
 
-    def a_slope(self, params: FamilyParams, x: float, n: int) -> float:
-        """d/da of the raw n-fold composition at x: s <- F'(y) s + 1 along the orbit y of x."""
+    def iterate_slope(self, params: FamilyParams, side: BoundSide, x: float,
+                      n: int) -> tuple[float, float]:
+        """(``iterate``, its a-derivative) from one loop; the value is ``iterate``'s bit for bit.
+
+        The slope follows s <- (1 + b cos 2 pi t) s + 1, and a plateau step
+        resets it to 1: the flat value top + a + amp sin(2 pi top) moves with a alone.
+        """
+        if n < 1:
+            raise ValueError("n must be positive")
+        a, b = params.a, params.b
+        amp = b / TWO_PI
+        t = x - math.floor(x)
+        carry = x - t
+        lo_edge, hi_edge, top = ((math.inf, -math.inf, 0.0) if side is BoundSide.RAW
+                                 or b <= self.b_critical else _plateau(side, b))
+        flat = top + a + amp * math.sin(TWO_PI * top)
         s = 0.0
         for _ in range(n):
-            s, x = self.derivative(params, x) * s + 1.0, self.eval(params, x)
-        return s
+            if lo_edge <= t <= hi_edge:
+                v, s = flat, 1.0
+            else:
+                u = TWO_PI * t
+                v = t + a + amp * math.sin(u)
+                s = (1.0 + b * math.cos(u)) * s + 1.0
+            f = math.floor(v)
+            t = v - f
+            carry += f
+            if t >= 1.0:
+                t -= 1.0
+                carry += 1.0
+        return carry + t, s
 
     def iterate_array(self, params: FamilyParams, side: BoundSide, xs: np.ndarray, n: int) -> np.ndarray:
         """Vectorized n-fold composition over a batch of starting points."""

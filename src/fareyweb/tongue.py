@@ -113,7 +113,7 @@ def _objective(kind: str, frac: Frac, b: float, num: Config, slope: bool = False
     def objective(a: float):
         params = FamilyParams(a, b)
         value, x = _disp_extremum(params, side, p, q, which, SINE, grid, 1e-13, band=0.0)
-        return (value, SINE.a_slope(params, x, q)) if slope else value
+        return (value, SINE.iterate_slope(params, side, x, q)[1]) if slope else value
 
     return objective
 
@@ -150,8 +150,9 @@ def _orbit_objective(kind: str, frac: Frac, b: float, num: Config):
 def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT) -> float:
     """The unique a at which the selected displacement extremum vanishes.
 
-    phi1 and phi2 by ``newton_root``, psi1 and psi2 by ``bisect_root`` (the
-    module docstring says why).
+    phi1 and phi2 by ``newton_root`` with the raw ``SINE.iterate_slope`` at the
+    extremum's argument, psi1 and psi2 by ``bisect_root`` (the module
+    docstring says why).
     """
     if kind in ("psi1", "psi2"):
         return bisect_root(_objective(kind, frac, b, num), *_default_bracket(frac, b),

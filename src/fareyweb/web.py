@@ -4,10 +4,11 @@ The right strand of p/q is the locus in the (a, b) plane where the lower
 bound carries k_minus to c_plus + p in exactly q steps; the left strand sends
 c_plus to k_minus + p under the upper bound.  Both defining iterates are
 strictly increasing in a (slope at least 1), so each strand meets every
-horizontal line in one certified bisection root.  Strand crossings of the two
-parent strands locate tips independently of any locking-width computation,
-and at a tip the orbit of k_minus is a twist cycle whose combinatorics are
-fixed by the parents' denominators.
+horizontal line in one root, certified by a bracketed Newton solve on the
+bound orbit and its a-slope.  Strand crossings of the two parent strands
+locate tips independently of any locking-width computation, and at a tip the
+orbit of k_minus is a twist cycle whose combinatorics are fixed by the
+parents' denominators.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .farey import Frac, parents
 from .config import DEFAULT, Config, cached
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
 from .rotation import _check_cap, _disp_grid
-from .solvers import bisect_root, golden_max, golden_min
+from .solvers import bisect_root, golden_max, golden_min, newton_root
 from .tongue import Tip, _first_crossing, _sweep, boundary
 
 #: circle-distance tolerance for the orbit-avoidance checks
@@ -107,11 +108,13 @@ def _strand_ends(frac: Frac, side: str, lm) -> tuple[float, float, BoundSide]:
     return lm.c_plus, lm.k_minus + frac.p, BoundSide.UPPER
 
 
-def _strand_objective(frac: Frac, side: str, b: float, raw: bool = False):
+def _strand_objective(frac: Frac, side: str, b: float, raw: bool = False,
+                      slope: bool = False):
     """bound^q(x0) - target at height b as a function of a; it grows at least as fast as a.
 
     ``raw`` puts the raw map in place of the bound in the same equation (same
-    x0 and target); that objective need not be monotone.
+    x0 and target); that objective need not be monotone.  With ``slope`` it
+    returns (value, d/da) from one orbit, the pair ``newton_root`` reads.
     """
     x0, target, bound = _strand_ends(frac, side, SINE.landmarks(b))
     bound = BoundSide.RAW if raw else bound
@@ -119,14 +122,18 @@ def _strand_objective(frac: Frac, side: str, b: float, raw: bool = False):
     def objective(a: float) -> float:
         return SINE.iterate(FamilyParams(a, b), bound, x0, frac.q) - target
 
-    return objective
+    def with_slope(a: float) -> tuple[float, float]:
+        value, s = SINE.iterate_slope(FamilyParams(a, b), bound, x0, frac.q)
+        return value - target, s
+
+    return with_slope if slope else objective
 
 
 def _strand_root(frac: Frac, side: str, b: float, num: Config) -> float:
-    """The one root of the strand objective, within |objective(a0)| of any probe a0."""
-    objective, a0 = _strand_objective(frac, side, b), frac.value
-    f0 = objective(a0)
-    return bisect_root(objective, a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9, num.solver_tol)
+    """The strand objective's one root by ``newton_root``; it lies within |objective(a0)| of a0."""
+    objective, a0 = _strand_objective(frac, side, b, slope=True), frac.value
+    f0 = objective(a0)[0]
+    return newton_root(objective, a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9, num.solver_tol)
 
 
 def _raw_orbit(params: FamilyParams, x: float, n: int) -> list[float]:

@@ -373,13 +373,13 @@ GOLDEN = [
     (["tongue", "--frac", "1/2", "--b", "1:1.5:3"],
      "721dc0a9c3507b5f2cd50149ee19c639d80344535500e85e521c2b748dd7aa15"),
     (["strand", "--frac", "3/8", "--side", "R", "--b", "1:2:5", "--method", "continued"],
-     "184130fec39a525a536c3bb45f2df711d792fa3c58b59cc967d6b5777f109691"),
+     "fbb156c673a571054dd40254dac215d956f25407ed9f6abf0ea180537e3b91ae"),
     (["bpoint", "--frac", "3/8"],
-     "e8c7f33d726befee1157e82f996e5c9606ef4a9de4a5d03c7f48884f8edd57a5"),
+     "f0679cd416ea085be5db3f6860134abe2396339f1e9bc0062832ff1dc9b97167"),
     (["--set", "b_tol=1e-8", "tip", "--frac", "1/2", "--method", "intersection"],
      "8ce652e7499ce21b6189676d6af3d436ea296d45f00e90535a5d077346005b55"),
     (["web", "--max-level", "2", "--b", "1:1.5:5"],
-     "02fd15f93f9280a22470ce2217bd61c8e44d9c88a8cb402d51bc1cd43e6ac0e0"),
+     "a2491389e69b95728aa67c797154baac8fa6a53e58a8cceb2d59bf8ef7fdc655"),
     (["scan", "--a", "0.4:0.6:5", "--b", "1.0:1.4:3", "--mode", "lock:1/2"],
      "134fa0339fd7c47c60be69b90f8b0e1f07ffb54e8aae19a4fffa4a0ea9415417"),
     (["scan", "--a", "0:0.5:4", "--b", "1.0:1.2:3", "--mode", "width", "--format", "pgm"],

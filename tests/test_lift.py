@@ -204,3 +204,58 @@ def test_iterate_long_orbit_stays_reduced():
     params = FamilyParams(0.3, 0.8)
     v = SINE.iterate(params, BoundSide.RAW, 0.0, 200000)
     assert 0.25 < v / 200000 < 0.35
+
+
+def _plateau_edges(side, b):
+    lm = SINE.landmarks(b)
+    return (lm.k_minus, lm.k) if side is BoundSide.LOWER else (lm.c, lm.c_plus)
+
+
+def _slope_cases(seed, count):
+    """Random (params, side, x, n): b below, on and above the critical line,
+    starts on a plateau (mod 1, negative ones too) and off it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        b = float(rng.choice([0.0, 0.4, 0.999, 1.0, 1.0 + 1e-9, rng.uniform(1.0, 3.5)]))
+        side = list(BoundSide)[rng.integers(3)]
+        x = float(rng.uniform(-4.0, 4.0))
+        if b > 1.0 and side is not BoundSide.RAW and rng.random() < 0.3:
+            lo, hi = _plateau_edges(side, b)
+            x = float(rng.choice([lo, hi, rng.uniform(lo, hi)])) + float(rng.integers(-3, 3))
+        yield FamilyParams(float(rng.uniform(-1.5, 1.5)), b), side, x, int(rng.integers(1, 25))
+
+
+def test_iterate_slope_value_is_iterate_bit_for_bit():
+    for params, side, x, n in _slope_cases(11, 2000):
+        assert SINE.iterate_slope(params, side, x, n)[0] == SINE.iterate(params, side, x, n), \
+            (params, side, x, n)
+    with pytest.raises(ValueError):
+        SINE.iterate_slope(FamilyParams(0, 1), BoundSide.RAW, 0.0, 0)
+
+
+def test_iterate_slope_matches_central_difference():
+    h, checked = 1e-6, 0
+    for params, side, x, n in _slope_cases(12, 600):
+        n = min(n, 6)
+        if params.b > 1.0 and side is not BoundSide.RAW:
+            # skip orbits that pass within reach of a plateau edge, where the slope jumps
+            edges, y, near = _plateau_edges(side, params.b), x, False
+            for _ in range(n):
+                t = y - math.floor(y)
+                near |= min(abs(t - e) for e in edges) < 1e-3
+                y = SINE.bound_eval(params, side, y)
+            if near:
+                continue
+        value, slope = SINE.iterate_slope(params, side, x, n)
+        up = SINE.iterate(FamilyParams(params.a + h, params.b), side, x, n)
+        down = SINE.iterate(FamilyParams(params.a - h, params.b), side, x, n)
+        assert abs((up - down) / (2 * h) - slope) <= 1e-4 * max(1.0, abs(slope)), \
+            (params, side, x, n)
+        checked += 1
+    assert checked > 400
+
+
+def test_iterate_slope_at_least_one_on_the_bounds():
+    for params, side, x, n in _slope_cases(13, 2000):
+        if side is not BoundSide.RAW:
+            assert SINE.iterate_slope(params, side, x, n)[1] >= 1.0, (params, side, x, n)

@@ -1,16 +1,23 @@
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fareyweb.config import DEFAULT, Config
-from fareyweb.farey import Frac, child
-from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
-from fareyweb.tongue import boundary, tip_by_width
-from fareyweb.verify import run_suite
-from fareyweb.web import (_grid_roots, b_point, strand_point, strand_sides,
-                          tip_by_intersection, trace_strand, twist_cycles)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from fareyweb.config import DEFAULT, Config  # noqa: E402
+from fareyweb.farey import Frac, child, enumerate_level  # noqa: E402
+from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams  # noqa: E402
+from fareyweb.solvers import bisect_root  # noqa: E402
+from fareyweb.tongue import boundary, tip_by_width  # noqa: E402
+from fareyweb.verify import run_suite  # noqa: E402
+from fareyweb.web import (_grid_roots, _strand_objective, _strand_root, b_point,  # noqa: E402
+                          strand_point, strand_sides, tip_by_intersection, trace_strand,
+                          twist_cycles)
+from perfbench import reference  # noqa: E402
 
 HALF = Frac(1, 2)
 ZERO = Frac(0, 1)
@@ -44,6 +51,37 @@ def test_strand_defining_equation_residual():
         else:
             got = SINE.iterate(FamilyParams(sp.a, b), BoundSide.UPPER, lm.c_plus, frac.q)
             assert abs(got - (lm.k_minus + frac.p)) < 1e-10
+
+
+def test_strand_roots_by_newton_match_bisection(monkeypatch):
+    # every strand root within solver_tol of bisection on the same objective and
+    # bracket, bracketed by the independent reference, at under 16 orbits a root
+    evals = []
+
+    def counted(*args, **kw):
+        objective = _strand_objective(*args, **kw)
+
+        def count(a):
+            evals[-1] += 1
+            return objective(a)
+
+        return count
+
+    monkeypatch.setattr("fareyweb.web._strand_objective", counted)
+    for level in range(6):
+        for frac in enumerate_level(level):
+            for b in (1.0, 1.05, 1.2, 1.5, 2.0, 2.5, 3.0):
+                for side in strand_sides(frac):
+                    evals.append(0)
+                    a = _strand_root(frac, side, b, DEFAULT)
+                    f, a0 = _strand_objective(frac, side, b), frac.value
+                    r = abs(f(a0)) + 1e-9
+                    want = bisect_root(f, a0 - r, a0 + r, DEFAULT.solver_tol)
+                    assert abs(a - want) <= DEFAULT.solver_tol, (frac, side, b)
+                    assert reference.strand_brackets_root(frac.p, frac.q, side, b, a), \
+                        (frac, side, b)
+    assert len(evals) == 448
+    assert sum(evals) / len(evals) <= 16.0
 
 
 def test_strand_side_restrictions():
