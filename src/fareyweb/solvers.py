@@ -36,14 +36,8 @@ def bisect_bracket(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def bisect_root(f, lo: float, hi: float, xtol: float = 1e-12,
-                f_lo: float | None = None, f_hi: float | None = None) -> float:
-    """Root of a continuous f on [lo, hi] with f(lo) <= 0 <= f(hi).
-
-    Plain bisection: robust for the piecewise-smooth objectives used
-    throughout (displacement extrema, plateau-truncated iterates).  End values
-    not given are evaluated, lo first; an end where f vanishes is the root.
-    """
+def _end_root(f, lo: float, hi: float, f_lo, f_hi) -> float | None:
+    """The end of [lo, hi] where f vanishes, or None; raises unless f(lo) <= 0 <= f(hi)."""
     if not lo <= hi:
         raise BracketError(f"empty bracket [{lo}, {hi}]")
     if f_lo is None:
@@ -52,33 +46,41 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-12,
         f_hi = f(hi)
     if f_lo > 0.0 or f_hi < 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
+    return lo if f_lo == 0.0 else hi if f_hi == 0.0 else None
+
+
+def bisect_root(f, lo: float, hi: float, xtol: float = 1e-12,
+                f_lo: float | None = None, f_hi: float | None = None) -> float:
+    """Root of a continuous f on [lo, hi] with f(lo) <= 0 <= f(hi).
+
+    Plain bisection: robust for the piecewise-smooth objectives used
+    throughout (displacement extrema, plateau-truncated iterates).  End values
+    not given are evaluated, lo first; an end where f vanishes is the root.
+    Only the sign of a given end value is read, so a bound of that sign serves.
+    """
+    end = _end_root(f, lo, hi, f_lo, f_hi)
+    if end is not None:
+        return end
     lo, hi = bisect_bracket(f, lo, hi, xtol)
     return 0.5 * (lo + hi)
 
 
-def newton_root(f, lo: float, hi: float, xtol: float = 1e-12) -> float:
+def newton_root(f, lo: float, hi: float, xtol: float = 1e-12,
+                f_lo: float | None = None, f_hi: float | None = None) -> float:
     """Root of a continuous f on [lo, hi] with f(lo) <= 0 <= f(hi), from values and slopes.
 
-    ``f(x)`` returns (value, slope); otherwise the contract is ``bisect_root``'s.
+    ``f(x)`` returns (value, slope); otherwise the contract is ``bisect_root``'s,
+    given end values included.  The iterates never read the end values, so a
+    bound of the right sign in place of an end's value gives the same root.
     From the midpoint on, a Newton step that lands strictly inside the bracket
     is taken, and one that leaves it, or a slope that is not positive and
     finite, bisects.  A step shorter than xtol/2 is stretched to xtol/2, so the
     bracket closes over the root.  Newton stops once plain bisection would
     have reached xtol, which caps a solve near twice bisection's evaluations.
     """
-    if not lo <= hi:
-        raise BracketError(f"empty bracket [{lo}, {hi}]")
-    (f_lo, _), (f_hi, _) = f(lo), f(hi)
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}")
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
+    end = _end_root(lambda x: f(x)[0], lo, hi, f_lo, f_hi)
+    if end is not None:
+        return end
     x, reach = 0.5 * (lo + hi), hi - lo
     while hi - lo > xtol and lo < x < hi:
         v, d = f(x)

@@ -6,14 +6,14 @@ psi1 (psi2) is where the lower (upper) monotone bound's displacement has max
 (min) exactly zero.  The locking interval is [psi1, psi2] when non-empty, and
 phi2 <= {psi1, psi2} <= phi1 always.  Each defining objective is strictly
 increasing in the translation parameter, so every boundary is the root of a
-bracketed solve that ends on a sign change no wider than ``solver_tol``.
-phi1 and phi2 are saddle-node tangencies, where the raw extremum is smooth in
-a and, by the envelope theorem, has slope dF^q/da at its argument, so a
-Newton solve safeguarded by the bracket reaches them in about a quarter of
-bisection's grid passes.  psi1 and psi2 stay on bisection: their extrema sit
-at plateau corners, where corner-orbit roots are to replace the grid (ROADMAP
-item 1) once the benchmark's web memory reading no longer grows with the
-repetitions a faster psi solve fits.
+bracketed solve that ends on a sign change no wider than ``solver_tol``: a
+Newton solve safeguarded by the bracket, with the slope dB^q/da at the
+extremum's argument.  phi1 and phi2 are saddle-node tangencies, where the
+raw extremum is smooth in a and, by the envelope theorem, has that slope, so
+the solve takes about a quarter of bisection's grid passes.  The extremum of
+psi1 or psi2 usually sits at a plateau corner, a kink where that slope only
+guides the steps; the solve still takes under half of bisection's grid
+passes on average.
 
 A tip is the parameter point where the locking width psi2 - psi1 collapses to
 zero; the first collapse above the critical line is the top of the principal
@@ -88,8 +88,8 @@ class Tip:
 
 
 def _default_bracket(frac: Frac, b: float) -> tuple[float, float]:
-    # per-step displacement lies within b/2pi of a, so the objective has
-    # opposite signs at p/q -+ (1/2 + b/2pi)
+    # the raw map and both bounds obey a - b/2pi <= B(x) - x <= a + b/2pi, so
+    # at p/q -+ (1/2 + b/2pi) every q-step displacement is <= -q/2 (>= q/2)
     r = 0.5 + b / TWO_PI
     v = frac.value
     return v - r, v + r
@@ -98,10 +98,11 @@ def _default_bracket(frac: Frac, b: float) -> tuple[float, float]:
 def _objective(kind: str, frac: Frac, b: float, num: Config, slope: bool = False):
     """The increasing function of a whose root is the ``kind`` boundary at b.
 
-    It is exact only in its sign, which is all bisection reads: a grid
-    extremum that already has the sign refinement would give is returned
-    unrefined.  With ``slope`` (phi1 and phi2 only) it returns the pair
-    (value, dF^q/da at the extremum's argument) that ``newton_root`` reads.
+    A grid extremum that already has the sign refinement would give is
+    returned unrefined, so the value is exact in its sign and otherwise a
+    witness between the extremum and zero.  With ``slope`` it returns the
+    pair (value, dB^q/da at the extremum's argument) that ``newton_root``
+    reads, on the raw map and on either bound.
     """
     if kind not in _OBJECTIVES:
         raise ValueError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
@@ -150,15 +151,13 @@ def _orbit_objective(kind: str, frac: Frac, b: float, num: Config):
 def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT) -> float:
     """The unique a at which the selected displacement extremum vanishes.
 
-    phi1 and phi2 by ``newton_root`` with the raw ``SINE.iterate_slope`` at the
-    extremum's argument, psi1 and psi2 by ``bisect_root`` (the module
-    docstring says why).
+    ``newton_root`` on the extremum and ``SINE.iterate_slope`` at its argument.
+    The ends of ``_default_bracket`` are not evaluated: every q-step
+    displacement is at most -q/2 at its lower end and at least q/2 at its
+    upper end, which ``newton_root`` takes as their signs.
     """
-    if kind in ("psi1", "psi2"):
-        return bisect_root(_objective(kind, frac, b, num), *_default_bracket(frac, b),
-                           num.solver_tol)
     return newton_root(_objective(kind, frac, b, num, slope=True), *_default_bracket(frac, b),
-                       num.solver_tol)
+                       num.solver_tol, f_lo=-0.5 * frac.q, f_hi=0.5 * frac.q)
 
 
 def section(frac: Frac, b: float, num: Config = DEFAULT) -> TongueSection:

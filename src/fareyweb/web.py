@@ -130,10 +130,14 @@ def _strand_objective(frac: Frac, side: str, b: float, raw: bool = False,
 
 
 def _strand_root(frac: Frac, side: str, b: float, num: Config) -> float:
-    """The strand objective's one root by ``newton_root``; it lies within |objective(a0)| of a0."""
+    """The strand objective's one root by ``newton_root``; it lies within |objective(a0)| of a0.
+
+    It grows at least as fast as a, so -+1e-9 bound its values at the bracket's ends.
+    """
     objective, a0 = _strand_objective(frac, side, b, slope=True), frac.value
     f0 = objective(a0)[0]
-    return newton_root(objective, a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9, num.solver_tol)
+    return newton_root(objective, a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9, num.solver_tol,
+                       f_lo=-1e-9, f_hi=1e-9)
 
 
 def _raw_orbit(params: FamilyParams, x: float, n: int) -> list[float]:

@@ -33,8 +33,8 @@ def test_tracer_binds_every_span(tmp_path):
     assert tr.missing == []
     c = tr.counts
     for key in ("tongue.section.calls", "tongue.boundary.calls", "rotation.extremum.calls",
-                "rotation.extremum.grid_points", "lift.iterate.steps", "solvers.bisect.evals",
-                "solvers.golden.evals", "web.strand_point.calls", "rotation.rot_interval.calls",
+                "rotation.extremum.grid_points", "lift.iterate.steps", "solvers.golden.evals",
+                "web.strand_point.calls", "rotation.rot_interval.calls",
                 "rotation.snap.calls", "rotation.snap.hits", "rotation.lock_status.calls",
                 "cli.scan.calls"):
         assert c[key] > 0, key
@@ -56,3 +56,5 @@ def test_tracer_binds_both_tip_searches():
     assert tr.counts["tongue.tip_width.calls"] > 0
     assert tr.counts["web.tip_intersection.calls"] > 0
     assert tr.counts["rotation.extremum.calls"] > 0 and tr.counts["lift.iterate.calls"] > 0
+    # every boundary is a Newton solve; the tips' b-bisection still calls ``bisect_root``
+    assert tr.counts["solvers.bisect.evals"] > 0

@@ -110,6 +110,20 @@ def test_newton_root_shares_the_bisect_contract():
     assert newton_root(_logged(lambda x: (x - 0.25, 1.0), probes), 0.25, 1.0) == 0.25
     assert probes == [(0.25, 0.0), (1.0, 0.75)]
     assert newton_root(lambda x: (x - 1.0, 1.0), 0.25, 1.0) == 1.0
+    # given end values are read for their signs only and never probed
+    evaluated = newton_root(_cubic, -1.0, 1.0)
+    for f_lo, f_hi in ((-1.0, 1.0), (-1e-300, None), (None, 5.0)):
+        del probes[:]
+        assert newton_root(_logged(_cubic, probes), -1.0, 1.0, f_lo=f_lo, f_hi=f_hi) == evaluated
+        assert (-1.0 in [x for x, _ in probes]) == (f_lo is None)
+        assert (1.0 in [x for x, _ in probes]) == (f_hi is None)
+    for f_lo, f_hi in ((1.0, 1.0), (-1.0, -1.0)):  # a given end of the wrong sign
+        with pytest.raises(BracketError):
+            newton_root(_cubic, -1.0, 1.0, f_lo=f_lo, f_hi=f_hi)
+    del probes[:]
+    assert newton_root(_logged(_cubic, probes), -1.0, 1.0, f_lo=0.0, f_hi=1.0) == -1.0
+    assert newton_root(_logged(_cubic, probes), -1.0, 1.0, f_lo=-1.0, f_hi=0.0) == 1.0
+    assert probes == []  # a given zero end is the root, with no evaluation
 
 
 @pytest.mark.parametrize("xtol", [1e-12, 1e-6, 0.1])

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -134,13 +135,14 @@ def test_fact9_tangency_signature_at_phi1():
             assert g >= -1e-9
 
 
-#: default-config width tips as first recorded; the faster width search must
-#: reproduce them to the last bit
+#: default-config width tips; b is as first recorded, to the last bit, and a
+#: and the residual are as the Newton psi solves give them (a moved by at most
+#: 1.6e-13 from the bisected psi solves)
 PINNED_TIPS = {
-    Frac(1, 2): (0.49999999999999994, 2.1348986767604927, 3.818834137803151e-12),
-    Frac(1, 3): (0.3696399518032252, 1.647391846515239, 3.4661162828797387e-12),
-    Frac(2, 5): (0.4100634590237344, 1.336572438962758, 6.481482017761664e-13),
-    Frac(3, 8): (0.3928411848795711, 1.1940916931256655, 1.8827717163105717e-12),
+    Frac(1, 2): (0.5000000000000001, 2.1348986767604927, 4.3156589413229085e-12),
+    Frac(1, 3): (0.3696399518032894, 1.647391846515239, 3.1902258612603873e-12),
+    Frac(2, 5): (0.4100634590235736, 1.336572438962758, 8.243405957841787e-13),
+    Frac(3, 8): (0.3928411848794972, 1.1940916931256655, 2.1204149547315865e-12),
 }
 
 
@@ -181,33 +183,94 @@ def test_cold_width_tip_extremum_budget(monkeypatch):
     calls = _count_extrema(monkeypatch)
     tip = tip_by_width.__wrapped__(HALF)  # bypasses the cache
     assert (tip.a, tip.b) == PINNED_TIPS[HALF][:2]
-    assert 0 < len(calls) <= 100
+    assert 0 < len(calls) <= 30
 
 
-def _fine_raw_extremum(kind: str, frac: Frac, a: float, b: float, n: int = 2 ** 18) -> float:
-    """phi's displacement extremum on n grid points, by plain numpy (not ``iterate_grid``)."""
-    xs = np.arange(n) / n
-    ys = xs.copy()
+def _fine_displacement(side: BoundSide, frac: Frac, a: float, b: float,
+                       n: int = 2 ** 18) -> np.ndarray:
+    """The q-step displacement of ``side`` on n grid points and the plateau's ends.
+
+    Plain numpy (not ``iterate_grid``), with the plateau re-derived from F as
+    ``_reference_rho`` does; the raw map and b <= 1 have none.
+    """
+    xs, amp = np.arange(n) / n, b / TWO_PI
+    if side is BoundSide.RAW or b <= 1.0:
+        ys = xs.copy()
+        for _ in range(frac.q):
+            ys = ys + a + amp * np.sin(TWO_PI * ys)
+        return ys - xs - frac.p
+    edge_lo, edge_hi, top = (float(v) for v in _reference_plateau(b, side is BoundSide.LOWER))
+    xs = np.sort(np.append(xs, [edge_lo, edge_hi]))
+    t, carry = xs.copy(), np.zeros_like(xs)
     for _ in range(frac.q):
-        ys = ys + a + b / TWO_PI * np.sin(TWO_PI * ys)
-    g = ys - xs - frac.p
-    return float(g.min() if kind == "phi1" else g.max())
+        v = np.where((t >= edge_lo) & (t <= edge_hi), top + a, t + a + amp * np.sin(TWO_PI * t))
+        whole = np.floor(v)
+        t, carry = v - whole, carry + whole
+    return carry + t - xs - frac.p
 
 
-@pytest.mark.parametrize("b", [0.5, 1.0, 1.3, 2.5])
-@pytest.mark.parametrize("frac", [ZERO, HALF, Frac(1, 3), Frac(2, 5), Frac(3, 8), Frac(5, 13)])
-@pytest.mark.parametrize("kind", ["phi1", "phi2"])
-def test_phi_newton_root_against_bisection_and_a_fine_grid(monkeypatch, kind, frac, b):
-    calls = _count_extrema(monkeypatch)
-    root = boundary(kind, frac, b)
-    assert type(root) is float and len(calls) <= 20
+def _fine_extremum(kind: str, frac: Frac, a: float, b: float) -> float:
+    """The extremum whose zero is the ``kind`` boundary, on ``_fine_displacement``'s grid."""
+    side, which = tongue._OBJECTIVES[kind]
+    g = _fine_displacement(side, frac, a, b)
+    return float(g.min() if which == "min" else g.max())
+
+
+NEWTON_FRACS = [ZERO, HALF, Frac(1, 3), Frac(2, 5), Frac(3, 8), Frac(5, 13)]
+NEWTON_BS = [0.5, 1.0, 1.3, 2.5]
+
+
+@functools.cache
+def _counted_boundary(kind: str, frac: Frac, b: float) -> tuple[float, int]:
+    """``boundary`` and the number of extremum calls it made."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_extrema(mp)
+        return boundary(kind, frac, b), len(calls)
+
+
+@pytest.mark.parametrize("b", NEWTON_BS)
+@pytest.mark.parametrize("frac", NEWTON_FRACS)
+@pytest.mark.parametrize("kind", tongue.BOUNDARY_KINDS)
+def test_phi_newton_root_against_bisection_and_a_fine_grid(kind, frac, b):
+    root, calls = _counted_boundary(kind, frac, b)
+    # phi's extremum is smooth in a; psi's usually sits at a plateau corner
+    assert type(root) is float and calls <= (20 if kind.startswith("phi") else 2 * 43)
     bracket = tongue._default_bracket(frac, b)
     bisected = bisect_root(tongue._objective(kind, frac, b, DEFAULT), *bracket,
                            DEFAULT.solver_tol)
     assert abs(root - bisected) <= DEFAULT.solver_tol
     # the extremum crosses zero between root -+ 1e-6 on a grid 24-57x finer than the library's
-    assert (_fine_raw_extremum(kind, frac, root - 1e-6, b) < 0.0
-            < _fine_raw_extremum(kind, frac, root + 1e-6, b))
+    assert (_fine_extremum(kind, frac, root - 1e-6, b) < 0.0
+            < _fine_extremum(kind, frac, root + 1e-6, b))
+
+
+def test_psi_newton_root_mean_calls():
+    counts = [_counted_boundary(kind, frac, b)[1]
+              for kind in ("psi1", "psi2") for frac in NEWTON_FRACS for b in NEWTON_BS]
+    assert sum(counts) / len(counts) <= 20  # bisection takes 43
+
+
+@pytest.mark.parametrize("frac, b", [(ZERO, 0.5), (HALF, 1.0), (Frac(2, 5), 1.3),
+                                     (Frac(3, 8), 2.5)])
+def test_boundary_takes_the_bracket_end_signs_unevaluated(monkeypatch, frac, b):
+    lo, hi = tongue._default_bracket(frac, b)
+    probed = []
+    objective = tongue._objective
+
+    def logged(*args, **kw):
+        f = objective(*args, **kw)
+        return lambda a: probed.append(a) or f(a)
+
+    monkeypatch.setattr(tongue, "_objective", logged)
+    for kind in tongue.BOUNDARY_KINDS:
+        boundary(kind, frac, b)
+    assert probed and all(lo < a < hi for a in probed)
+    # the bounds boundary passes for the unevaluated ends hold on a fine grid,
+    # up to the rounding of q steps; only their signs are read
+    slack = 1e-12 * frac.q
+    for side in BoundSide:
+        assert _fine_displacement(side, frac, lo, b).max() <= -0.5 * frac.q + slack
+        assert _fine_displacement(side, frac, hi, b).min() >= 0.5 * frac.q - slack
 
 
 def _order(v: float, band: float) -> tuple[bool, ...]:
@@ -240,14 +303,13 @@ def test_grid_witness_sign_matches_refined_sign(frac):
     assert unrefined > 0
 
 
-def _reference_rho(a, b, lower, n=100_000):
-    """d/n of an n-step orbit from 0 of each plateau bound, |d/n - rho| <= 1/n.
+def _reference_plateau(b, lower):
+    """(left end, right end, F0 value) of each bound's plateau, re-derived from F alone.
 
-    The bounds are re-derived from F alone: turning points from F' = 0, the
-    companions by bisection on the monotone branches, and the plateau cut
-    into a plain loop over numpy arrays.
+    Turning points from F' = 0 and the companions by bisection on the
+    monotone branches; F0 is F at a = 0.
     """
-    a, b, lower = (np.asarray(v) for v in (a, b, lower))
+    b, lower = np.asarray(b), np.asarray(lower)
     amp = b / TWO_PI
     c = np.arccos(-1.0 / b) / TWO_PI
     k = 1.0 - c
@@ -263,8 +325,19 @@ def _reference_rho(a, b, lower, n=100_000):
         below = f0(mid) < f0(top)
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     comp = 0.5 * (lo + hi)
-    edge_lo, edge_hi = np.where(lower, comp, c), np.where(lower, k, comp)
-    flat = f0(top) + a
+    return np.where(lower, comp, c), np.where(lower, k, comp), f0(top)
+
+
+def _reference_rho(a, b, lower, n=100_000):
+    """d/n of an n-step orbit from 0 of each plateau bound, |d/n - rho| <= 1/n.
+
+    The bounds are re-derived from F alone (``_reference_plateau``), and the
+    plateau cut into a plain loop over numpy arrays.
+    """
+    a, b, lower = (np.asarray(v) for v in (a, b, lower))
+    amp = b / TWO_PI
+    edge_lo, edge_hi, top = _reference_plateau(b, lower)
+    flat = top + a
     t, carry = np.zeros_like(a), np.zeros_like(a)
     for _ in range(n):
         v = np.where((t >= edge_lo) & (t <= edge_hi), flat, t + a + amp * np.sin(TWO_PI * t))
