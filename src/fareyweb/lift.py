@@ -104,9 +104,9 @@ class SineFamily:
     point, and the compositions: every orbit runs either in the scalar loop of
     ``iterate`` or in ``iterate_grid``, the one array pass, which matches it
     bit for bit (``iterate_array`` is that pass at one parameter pair).
-    ``iterate_slope`` is ``iterate``'s loop with the a-derivative carried
-    along, for the Newton solves on strands and phi; it is a separate loop so
-    that ``iterate`` itself carries no flag.
+    ``iterate_slope`` is ``iterate``'s loop at float a and b with the
+    a-derivative carried along, for the Newton solves on strands and tongue
+    boundaries; it is a separate loop so that ``iterate`` carries no flag.
     """
 
     b_critical = 1.0
@@ -164,24 +164,17 @@ class SineFamily:
 
         The argument is kept reduced mod 1 with the integer part carried
         separately, so long orbits do not lose precision in the sine argument.
+        The map takes the flat value on its plateau; a raw map, and any map
+        up to the critical line, has the empty plateau (inf, -inf).
         """
         if n < 1:
             raise ValueError("n must be positive")
-        a = params.a
-        amp = params.b / TWO_PI
+        a, b = params.a, params.b
+        amp = b / TWO_PI
         t = x - math.floor(x)
         carry = x - t
-        if side is BoundSide.RAW or params.b <= self.b_critical:
-            for _ in range(n):
-                v = t + a + amp * math.sin(TWO_PI * t)
-                f = math.floor(v)
-                t = v - f
-                carry += f
-                if t >= 1.0:
-                    t -= 1.0
-                    carry += 1.0
-            return carry + t
-        lo_edge, hi_edge, top = _plateau(side, params.b)
+        lo_edge, hi_edge, top = ((math.inf, -math.inf, 0.0) if side is BoundSide.RAW
+                                 or b <= self.b_critical else _plateau(side, b))
         flat = top + a + amp * math.sin(TWO_PI * top)
         for _ in range(n):
             if lo_edge <= t <= hi_edge:
@@ -196,7 +189,7 @@ class SineFamily:
                 carry += 1.0
         return carry + t
 
-    def iterate_slope(self, params: FamilyParams, side: BoundSide, x: float,
+    def iterate_slope(self, a: float, b: float, side: BoundSide, x: float,
                       n: int) -> tuple[float, float]:
         """(``iterate``, its a-derivative) from one loop; the value is ``iterate``'s bit for bit.
 
@@ -205,7 +198,6 @@ class SineFamily:
         """
         if n < 1:
             raise ValueError("n must be positive")
-        a, b = params.a, params.b
         amp = b / TWO_PI
         t = x - math.floor(x)
         carry = x - t

@@ -17,10 +17,11 @@ passes on average.
 
 A tip is the parameter point where the locking width psi2 - psi1 collapses to
 zero; the first collapse above the critical line is the top of the principal
-locking component.  Above the critical line the width search reads each sign
-from the orbit of a plateau corner, where the extremum usually sits.  Both
-bounds are non-decreasing degree-one maps there, so max g_L >= 0 iff
-rho(L) >= p/q and min g_U <= 0 iff rho(U) <= p/q, and any orbit has
+locking component.  From the critical line up the width search reads each
+sign from the orbit of a plateau corner, where the extremum usually sits (on
+the critical line both corners are the turning point 1/2).  Both bounds are
+non-decreasing degree-one maps, so max g_L >= 0 iff rho(L) >= p/q and
+min g_U <= 0 iff rho(U) <= p/q, and any orbit has
 |B^n(x) - x - n rho(B)| <= 1 (Rhodes & Thompson, 1986).  With
 D_j = B^{jq}(x0) - x0 - jp, from x0 = k_minus for L and c_plus for U:
 D_j >= 0 gives max g_L >= 0 (were g_L < 0 everywhere, every D_j would be),
@@ -95,14 +96,14 @@ def _default_bracket(frac: Frac, b: float) -> tuple[float, float]:
     return v - r, v + r
 
 
-def _objective(kind: str, frac: Frac, b: float, num: Config, slope: bool = False):
+def _objective(kind: str, frac: Frac, b: float, num: Config):
     """The increasing function of a whose root is the ``kind`` boundary at b.
 
-    A grid extremum that already has the sign refinement would give is
-    returned unrefined, so the value is exact in its sign and otherwise a
-    witness between the extremum and zero.  With ``slope`` it returns the
-    pair (value, dB^q/da at the extremum's argument) that ``newton_root``
-    reads, on the raw map and on either bound.
+    It returns the pair (value, dB^q/da at the extremum's argument) that
+    ``newton_root`` reads, on the raw map and on either bound.  A grid
+    extremum that already has the sign refinement would give is returned
+    unrefined, so the value is exact in its sign and otherwise a witness
+    between the extremum and zero.
     """
     if kind not in _OBJECTIVES:
         raise ValueError(f"kind must be one of {BOUNDARY_KINDS}, got {kind!r}")
@@ -111,25 +112,22 @@ def _objective(kind: str, frac: Frac, b: float, num: Config, slope: bool = False
     side, which = _OBJECTIVES[kind]
     p, q, grid = frac.p, frac.q, num.grid
 
-    def objective(a: float):
-        params = FamilyParams(a, b)
-        value, x = _disp_extremum(params, side, p, q, which, SINE, grid, 1e-13, band=0.0)
-        return (value, SINE.iterate_slope(params, side, x, q)[1]) if slope else value
+    def objective(a: float) -> tuple[float, float]:
+        value, x = _disp_extremum(FamilyParams(a, b), side, p, q, which, SINE, grid, 1e-13,
+                                  band=0.0)
+        return value, SINE.iterate_slope(a, b, side, x, q)[1]
 
     return objective
 
 
 def _orbit_objective(kind: str, frac: Frac, b: float, num: Config):
-    """``_objective`` of psi1 or psi2 as far as its sign, from the plateau-corner orbit.
+    """The sign of ``_objective`` of psi1 or psi2 at b >= 1, from the plateau-corner orbit.
 
     Returns D_j once it certifies the sign (see the module docstring), and
     the grid objective's value when no verdict comes within
-    (grid_base + grid_per_q * q) // STRIDE cycles or b is not above the
-    critical line.
+    (grid_base + grid_per_q * q) // STRIDE cycles.
     """
     grid = _objective(kind, frac, b, num)
-    if b <= SINE.b_critical:
-        return grid
     lm = SINE.landmarks(b)
     side, x0, s = ((BoundSide.LOWER, lm.k_minus, 1.0) if kind == "psi1"
                    else (BoundSide.UPPER, lm.c_plus, -1.0))
@@ -143,7 +141,7 @@ def _orbit_objective(kind: str, frac: Frac, b: float, num: Config):
             d, tie = y - x0, ROUND_BAND * j * (q + abs(p))
             if s * d > tie or s * d < -1.0 - tie:
                 return d
-        return grid(a)
+        return grid(a)[0]
 
     return objective
 
@@ -156,7 +154,7 @@ def boundary(kind: str, frac: Frac, b: float, num: Config = DEFAULT) -> float:
     displacement is at most -q/2 at its lower end and at least q/2 at its
     upper end, which ``newton_root`` takes as their signs.
     """
-    return newton_root(_objective(kind, frac, b, num, slope=True), *_default_bracket(frac, b),
+    return newton_root(_objective(kind, frac, b, num), *_default_bracket(frac, b),
                        num.solver_tol, f_lo=-0.5 * frac.q, f_hi=0.5 * frac.q)
 
 
@@ -268,7 +266,7 @@ def tip_by_width(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> 
     """Lowest b above the critical line where the locking width reaches zero.
 
     Each height is decided by the order of psi1 and psi2, read from
-    plateau-corner orbits above the critical line; psi1 and psi2 are solved
+    plateau-corner orbits from the critical line up; psi1 and psi2 are solved
     only at the tip.  ``full_scan`` keeps scanning to the ceiling and records
     any further sign changes (a connected principal component has none).
     """

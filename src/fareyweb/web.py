@@ -123,7 +123,7 @@ def _strand_objective(frac: Frac, side: str, b: float, raw: bool = False,
         return SINE.iterate(FamilyParams(a, b), bound, x0, frac.q) - target
 
     def with_slope(a: float) -> tuple[float, float]:
-        value, s = SINE.iterate_slope(FamilyParams(a, b), bound, x0, frac.q)
+        value, s = SINE.iterate_slope(a, b, bound, x0, frac.q)
         return value - target, s
 
     return with_slope if slope else objective
@@ -191,12 +191,12 @@ def _grid_roots(f, xs, g, xtol: float) -> list[float]:
 
 
 def _raw_strand_roots(frac: Frac, side: str, b: float, lo: float, hi: float,
-                      xtol: float) -> list[float]:
-    """All roots of the raw q-step strand equation on [lo, hi]."""
+                      num: Config) -> list[float]:
+    """All roots of the raw q-step strand equation on [lo, hi], from twice the displacement grid."""
     x0, target, _ = _strand_ends(frac, side, SINE.landmarks(b))
-    a_grid = np.linspace(lo, hi, 8192 + 1024 * frac.q)
+    a_grid = np.linspace(lo, hi, 2 * (num.grid_base + num.grid_per_q * frac.q))
     g = SINE.iterate_grid(a_grid, b, BoundSide.RAW, x0, frac.q) - target
-    return _grid_roots(_strand_objective(frac, side, b, raw=True), a_grid, g, xtol)
+    return _grid_roots(_strand_objective(frac, side, b, raw=True), a_grid, g, num.solver_tol)
 
 
 def _segment_is_twist(frac: Frac, side: str, a: float, b: float) -> bool:
@@ -236,7 +236,7 @@ def strand_point(frac: Frac, side: str, b: float, num: Config = DEFAULT, *,
     if method == "continued" and not verified:
         r = 0.5 + b / TWO_PI
         cands = [a for a in _raw_strand_roots(frac, side, b, frac.value - r,
-                                              frac.value + r, num.solver_tol)
+                                              frac.value + r, num)
                  if _segment_is_twist(frac, side, a, b)]
         if cands:
             a_star = min(cands, key=lambda a: abs(a - a_star))

@@ -195,6 +195,12 @@ def test_iterate_grid_equals_scalar_iterate():
                 params = FamilyParams(float(a[0, j]), float(b[i, 0]))
                 assert grid[i, j] == SINE.iterate(params, side, float(xs[i, j]), n), \
                     (side, n, i, j)
+            # b = 1 exactly for the whole grid: no element has a plateau
+            grid = SINE.iterate_grid(a, 1.0, side, xs, n)
+            for i, j in np.ndindex(grid.shape):
+                params = FamilyParams(float(a[0, j]), 1.0)
+                assert grid[i, j] == SINE.iterate(params, side, float(xs[i, j]), n), \
+                    (side, n, i, j)
     with pytest.raises(ValueError):
         SINE.iterate_grid(0.0, -1.0, BoundSide.LOWER, 0.0, 3)
 
@@ -227,10 +233,10 @@ def _slope_cases(seed, count):
 
 def test_iterate_slope_value_is_iterate_bit_for_bit():
     for params, side, x, n in _slope_cases(11, 2000):
-        assert SINE.iterate_slope(params, side, x, n)[0] == SINE.iterate(params, side, x, n), \
-            (params, side, x, n)
+        value = SINE.iterate_slope(params.a, params.b, side, x, n)[0]
+        assert value == SINE.iterate(params, side, x, n), (params, side, x, n)
     with pytest.raises(ValueError):
-        SINE.iterate_slope(FamilyParams(0, 1), BoundSide.RAW, 0.0, 0)
+        SINE.iterate_slope(0.0, 1.0, BoundSide.RAW, 0.0, 0)
 
 
 def test_iterate_slope_matches_central_difference():
@@ -246,7 +252,7 @@ def test_iterate_slope_matches_central_difference():
                 y = SINE.bound_eval(params, side, y)
             if near:
                 continue
-        value, slope = SINE.iterate_slope(params, side, x, n)
+        value, slope = SINE.iterate_slope(params.a, params.b, side, x, n)
         up = SINE.iterate(FamilyParams(params.a + h, params.b), side, x, n)
         down = SINE.iterate(FamilyParams(params.a - h, params.b), side, x, n)
         assert abs((up - down) / (2 * h) - slope) <= 1e-4 * max(1.0, abs(slope)), \
@@ -258,4 +264,5 @@ def test_iterate_slope_matches_central_difference():
 def test_iterate_slope_at_least_one_on_the_bounds():
     for params, side, x, n in _slope_cases(13, 2000):
         if side is not BoundSide.RAW:
-            assert SINE.iterate_slope(params, side, x, n)[1] >= 1.0, (params, side, x, n)
+            slope = SINE.iterate_slope(params.a, params.b, side, x, n)[1]
+            assert slope >= 1.0, (params, side, x, n)

@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 
 from fareyweb.errors import BracketError
-from fareyweb.solvers import bisect_bracket, bisect_root, newton_root, root_order
+from fareyweb.solvers import bisect_root, newton_root, root_order
 
 
 def test_bisect_root_exact_zeros():
@@ -21,19 +22,95 @@ def test_bisect_root_width_and_bracket_errors():
         bisect_root(lambda x: x, 1.0, 0.0)  # empty bracket
 
 
-def test_staged_narrowing_ends_on_the_one_shot_bracket():
-    f = lambda x: x ** 3 - 0.3  # noqa: E731
+def _reference_bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Plain bisection of an open bracket with f(lo) < 0 < f(hi), written out.
+
+    It stops at width xtol or when the midpoint is no longer a new float, and
+    a zero of f at a midpoint is the root.
+    """
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        lo, hi = (mid, hi) if f_mid < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_root_end_zeros_and_float_exhaustion():
     calls = []
     # a zero at an end is the root, with no further evaluation
     assert bisect_root(lambda x: calls.append(x) or x - 0.25, 0.25, 1.0, 1e-12) == 0.25
     assert calls == [0.25, 1.0]
-    lo, hi = bisect_bracket(f, 0.0, 1.0, 0.3)
-    assert hi - lo <= 0.3 < 2 * (hi - lo) and lo < 0.3 ** (1 / 3) < hi
-    one_shot = bisect_bracket(f, 0.0, 1.0, 1e-12)
-    for width in (0.5, 0.1, 1e-6, 1e-12):
-        lo, hi = bisect_bracket(f, lo, hi, width)
-    assert (lo, hi) == one_shot
-    assert bisect_bracket(f, 1.0, 1.0 + 2.0 ** -52, 0.0) == (1.0, 1.0 + 2.0 ** -52)  # no float between
+    # no float between the ends: no midpoint is probed, and the root is their midpoint
+    del calls[:]
+    hi = 1.0 + 2.0 ** -52
+    f = lambda x: calls.append(x) or (-1.0 if x < hi else 1.0)  # noqa: E731
+    assert bisect_root(f, 1.0, hi, 0.0) == 0.5 * (1.0 + hi)
+    assert calls == [1.0, hi]
+    # two ulps wide: the one float inside is probed, then nothing is left between
+    del calls[:]
+    hi, mid = 1.0 + 2.0 ** -51, 1.0 + 2.0 ** -52
+    assert bisect_root(f, 1.0, hi, 0.0, f_lo=-1.0, f_hi=1.0) == 0.5 * (mid + hi)
+    assert calls == [mid]
+
+
+def _reference_root_order(f1, f2, lo, hi, x0, step, xtol):
+    """``root_order`` written out: gallop from x0, then ``_reference_bisect`` on the probe."""
+    found = []
+
+    def probe(x):
+        above1, below2 = f1(x) >= 0.0, f2(x) <= 0.0
+        if above1 == below2:
+            found.append((-1.0 if above1 else 1.0, x))
+            return 0.0
+        return 1.0 if above1 else -1.0
+
+    x = x_prev = min(max(x0, lo), hi)
+    side = s = probe(x)
+    while s == side and not found:
+        assert x != (lo if side > 0.0 else hi), "roots beyond the bracket"
+        x_prev, x, step = x, min(max(x - side * step, lo), hi), 2.0 * step
+        s = probe(x)
+    if not found:
+        x = _reference_bisect(probe, *sorted((x_prev, x)), xtol)
+    return found[0] if found else (0.0, x)
+
+
+def _cases(seed: int, count: int):
+    """Random brackets [lo, hi], a root r inside and an xtol from 0 up to 0.3 of the width."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        lo, hi = sorted(rng.uniform(-3.0, 3.0) for _ in range(2))
+        yield rng, lo, hi, rng.uniform(lo, hi), rng.choice([0.0, 1e-15, 1e-12, 1e-6,
+                                                            0.3 * (hi - lo)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bisect_root_matches_a_reference_bisection(seed):
+    for _, lo, hi, r, xtol in _cases(seed, 300):
+        # smooth, steep and piecewise-constant objectives; the last has exact zeros only at r
+        for f in (lambda x: x ** 3 - r ** 3, lambda x: math.atan(40.0 * (x - r)),
+                  lambda x: float(x > r) - float(x < r)):
+            if f(lo) < 0.0 < f(hi):
+                got = bisect_root(f, lo, hi, xtol)
+                assert repr(got) == repr(_reference_bisect(f, lo, hi, xtol)), (lo, hi, r, xtol)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_root_order_matches_a_reference_bisection(seed):
+    signs = set()
+    for rng, lo, hi, r1, xtol in _cases(seed, 300):
+        r2 = r1 + rng.choice([-1e-3, -1e-13, 0.0, 1e-13, 1e-9, 1e-3])
+        x0, step = rng.uniform(lo - 1.0, hi + 1.0), rng.choice([1e-3, 0.1]) * (hi - lo)
+        args = (lo - 1e-3, hi + 1e-3, x0, step, xtol)
+        got = root_order(*_linear_pair(r1, r2, []), *args)
+        want = _reference_root_order(*_linear_pair(r1, r2, []), *args)
+        assert repr(got) == repr(want), (r1, r2, args)
+        signs.add(got[0])
+    assert signs == {-1.0, 0.0, 1.0}
 
 
 def _linear_pair(r1, r2, probes):
@@ -139,9 +216,10 @@ def test_newton_root_ends_on_a_sign_change_no_wider_than_xtol(xtol):
 
 @pytest.mark.parametrize("slope", [0.0, -1.0, math.nan, math.inf])
 def test_newton_root_bisects_without_a_usable_slope(slope):
-    probes, bisected = [], []
+    probes, bisected = [], [-1.0, 1.0]  # the ends are evaluated first
     root = newton_root(_logged(_cubic, probes, slope), -1.0, 1.0)
-    assert root == bisect_root(lambda x: bisected.append(x) or _cubic(x)[0], -1.0, 1.0)
+    assert root == _reference_bisect(lambda x: bisected.append(x) or _cubic(x)[0], -1.0, 1.0,
+                                     1e-12)
     assert [x for x, _ in probes] == bisected
     lo, hi = _final_bracket(probes)
     assert hi - lo <= 1e-12 and root == 0.5 * (lo + hi)

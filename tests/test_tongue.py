@@ -236,8 +236,8 @@ def test_phi_newton_root_against_bisection_and_a_fine_grid(kind, frac, b):
     # phi's extremum is smooth in a; psi's usually sits at a plateau corner
     assert type(root) is float and calls <= (20 if kind.startswith("phi") else 2 * 43)
     bracket = tongue._default_bracket(frac, b)
-    bisected = bisect_root(tongue._objective(kind, frac, b, DEFAULT), *bracket,
-                           DEFAULT.solver_tol)
+    objective = tongue._objective(kind, frac, b, DEFAULT)
+    bisected = bisect_root(lambda a: objective(a)[0], *bracket, DEFAULT.solver_tol)
     assert abs(root - bisected) <= DEFAULT.solver_tol
     # the extremum crosses zero between root -+ 1e-6 on a grid 24-57x finer than the library's
     assert (_fine_extremum(kind, frac, root - 1e-6, b) < 0.0
@@ -359,7 +359,7 @@ def test_orbit_verdicts_against_long_reference_orbits(monkeypatch):
     roots = [(frac, b, kind, boundary(kind, frac, b))
              for frac, b in draws for kind in ("psi1", "psi2")]
     # a fallback would read the grid; NaN marks it so that only orbit verdicts count
-    monkeypatch.setattr(tongue, "_objective", lambda *args: lambda a: math.nan)
+    monkeypatch.setattr(tongue, "_objective", lambda *args: lambda a: (math.nan, math.nan))
     cases = []
     for frac, b, kind, root in roots:
         test = tongue._orbit_objective(kind, frac, b, DEFAULT)
@@ -383,7 +383,7 @@ def test_orbit_verdicts_against_long_reference_orbits(monkeypatch):
             assert r <= frac.value + 2.0 / n, (frac, b, kind, a, v, r)
 
 
-def test_orbit_objective_takes_the_grid_path_up_to_the_critical_line(monkeypatch):
+def test_orbit_objective_decides_from_the_critical_line_up(monkeypatch):
     calls = []
     original = rotation._disp_extremum
 
@@ -392,14 +392,33 @@ def test_orbit_objective_takes_the_grid_path_up_to_the_critical_line(monkeypatch
         return original(*args, **kw)
 
     monkeypatch.setattr(tongue, "_disp_extremum", counted)
-    for b in (0.6, 1.0, 1.5):
+    for b in (1.0, 1.5):
         for kind in ("psi1", "psi2"):
             orbit, grid = (make(kind, HALF, b, DEFAULT)
                            for make in (tongue._orbit_objective, tongue._objective))
-            for a in (0.4, 0.5, 0.6):
+            for a in (0.4, 0.45, 0.5, 0.55, 0.6):
                 del calls[:]
                 v = orbit(a)
                 made = len(calls)
-                assert (v >= 0.0) == (grid(a) >= 0.0), (b, kind, a)
-                # up to b = 1 the grid decides; above it the corner orbit does
-                assert made == (1 if b <= SINE.b_critical else 0), (b, kind, a)
+                assert (v >= 0.0) == (grid(a)[0] >= 0.0), (b, kind, a)
+                # on the critical line too the corner orbit decides, but for the
+                # centre of the tongue, where the corner 1/2 is a 2-cycle (D_j = 0)
+                assert made == (1 if (b, a) == (1.0, 0.5) else 0), (b, kind, a)
+
+
+@pytest.mark.parametrize("frac", [Frac(1, 3), Frac(3, 8)])
+def test_cold_width_tip_on_the_critical_line_reads_corner_orbits(monkeypatch, frac):
+    heights = []
+    original = rotation._disp_extremum
+
+    def counted(*args, **kw):
+        heights.append(args[0].b)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(tongue, "_disp_extremum", counted)
+    tip = tip_by_width.__wrapped__(frac)  # bypasses the cache
+    assert (tip.a, tip.b) == PINNED_TIPS[frac][:2]
+    # the corner orbit decides every sign at b = 1 but one, inside the tongue,
+    # where it is drawn to a cycle just below the corner (the grid alone took
+    # 4 passes there for 1/3 and 10 for 3/8)
+    assert heights.count(SINE.b_critical) <= 1

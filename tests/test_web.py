@@ -281,6 +281,23 @@ def test_strand_continued_above_tip_stays_between():
     assert l1_bound.a < l1.a < l2.a < psi2
 
 
+def test_continued_strand_grid_follows_the_config(monkeypatch):
+    # the raw strand equation is sampled on twice the displacement grid at q
+    frac, b = child(HALF, "R", 1), tip_by_width(HALF).b + 0.1
+    sizes, original = [], SINE.iterate_grid
+
+    def counted(a, *args):
+        sizes.append(np.size(a))
+        return original(a, *args)
+
+    monkeypatch.setattr(SINE, "iterate_grid", counted)
+    coarse = Config(grid_base=1024, grid_per_q=128)
+    points = [strand_point(frac, "L", b, num, method="continued") for num in (DEFAULT, coarse)]
+    assert sizes == [2 * (num.grid_base + num.grid_per_q * frac.q) for num in (DEFAULT, coarse)]
+    assert all(p.method == "continued" for p in points)
+    assert abs(points[0].a - points[1].a) <= DEFAULT.solver_tol
+
+
 def test_twist_cycles_empty_outside_tongue():
     cycles = twist_cycles(FamilyParams(0.3, 0.2), BoundSide.RAW, ZERO)
     assert cycles == []
