@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .solvers import bisect_root
+from .solvers import newton_root
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +54,10 @@ class Landmarks:
 
     Ordering 0 < k_minus <= c <= k <= c_plus < 1 holds while the distance
     between the bounds stays below 1; on the critical line all four coincide.
+    k_minus solves g(x) = x + (b / 2 pi) sin(2 pi x) = g(k) on [0, c] by one Newton
+    solve to a certified bracket of width 1e-13; c_plus = 1 - k_minus, since
+    g(1 - x) = 1 - g(x) and k = 1 - c.  The equation is flat near b = 1: for
+    b - 1 < 1e-8, k_minus is off by up to about 1e-6 against 50 digits.
     """
 
     b: float
@@ -71,21 +75,19 @@ class Landmarks:
 def _sine_landmarks(b: float) -> Landmarks:
     if b < 1.0:
         raise ValueError(f"no turning points below the critical line (b={b})")
-    if b == 1.0:
-        return Landmarks(1.0, 0.5, 0.5, 0.5, 0.5)
-    c = math.acos(-1.0 / b) / TWO_PI
-    k = 1.0 - c
-
-    def g(x: float) -> float:
-        return x + b / TWO_PI * math.sin(TWO_PI * x)
-
-    gk, gc = g(k), g(c)
-    if g(0.0) > gk or g(1.0) < gc:
+    c = math.acos(-1.0 / b) / TWO_PI  # b = 1: c = k = 0.5 and gc = gk, so k_minus = c
+    k, amp = 1.0 - c, b / TWO_PI
+    gk, gc = k + amp * math.sin(TWO_PI * k), c + amp * math.sin(TWO_PI * c)
+    if gk < 0.0 or gc > 1.0:  # g(0) = 0 and g(1) = 1
         raise ValueError(f"landmark companions leave (0, 1) at b={b}; family out of range")
-    # g is strictly increasing on [0, c] and on [k, 1]
-    k_minus = bisect_root(lambda x: g(x) - gk, 0.0, c, xtol=1e-13)
-    c_plus = bisect_root(lambda x: g(x) - gc, k, 1.0, xtol=1e-13)
-    return Landmarks(b, c, k, k_minus, c_plus)
+
+    def f(x: float) -> tuple[float, float]:
+        u = TWO_PI * x
+        return x + amp * math.sin(u) - gk, 1.0 + b * math.cos(u)
+
+    # g rises on [0, c] from g(0) = 0 <= gk to g(c) = gc >= gk
+    k_minus = newton_root(f, 0.0, c, 1e-13, f_lo=-gk, f_hi=gc - gk)
+    return Landmarks(b, c, k, k_minus, 1.0 - k_minus)
 
 
 @lru_cache(maxsize=None)

@@ -132,12 +132,16 @@ def _strand_objective(frac: Frac, side: str, b: float, raw: bool = False,
 def _strand_root(frac: Frac, side: str, b: float, num: Config) -> float:
     """The strand objective's one root by ``newton_root``; it lies within |objective(a0)| of a0.
 
-    It grows at least as fast as a, so -+1e-9 bound its values at the bracket's ends.
+    It grows at least as fast as a, so -+1e-9 bound its values at the ends of a bracket
+    that holds a0 -+ |f0| about the Newton point a1, where the solve starts.
     """
     objective, a0 = _strand_objective(frac, side, b, slope=True), frac.value
-    f0 = objective(a0)[0]
-    return newton_root(objective, a0 - abs(f0) - 1e-9, a0 + abs(f0) + 1e-9, num.solver_tol,
-                       f_lo=-1e-9, f_hi=1e-9)
+    f0, s0 = objective(a0)
+    if f0 == 0.0:
+        return a0
+    a1 = a0 - f0 / s0 if 0.0 < s0 < math.inf else a0
+    r = abs(f0) + abs(a1 - a0) + 1e-9
+    return newton_root(objective, a1 - r, a1 + r, num.solver_tol, f_lo=-1e-9, f_hi=1e-9)
 
 
 def _raw_orbit(params: FamilyParams, x: float, n: int) -> list[float]:

@@ -371,15 +371,15 @@ GOLDEN = [
     (["--set", "rot_tol=1e-4", "rotnum", "--a", "0.3", "--b", "1.8"],
      "2ec6b1631f18fcf4bd0e724abbd5e48a46475790d2dedd191e7350f5e277864c"),
     (["tongue", "--frac", "1/2", "--b", "1:1.5:3"],
-     "29e4a8a52ad6d29e8da8d5354c16f709c0f2b1e9e77b65249628adcea995f191"),
+     "a75401c66d4903edb94c7ec08ca03625c4f0a2bee02e26f949186afcdf02db30"),
     (["strand", "--frac", "3/8", "--side", "R", "--b", "1:2:5", "--method", "continued"],
-     "fbb156c673a571054dd40254dac215d956f25407ed9f6abf0ea180537e3b91ae"),
+     "36c1ae050b36cb54534790c18e6ec31edef8f3df4ff51a9608f699e5dcb8d9c6"),
     (["bpoint", "--frac", "3/8"],
      "f0679cd416ea085be5db3f6860134abe2396339f1e9bc0062832ff1dc9b97167"),
     (["--set", "b_tol=1e-8", "tip", "--frac", "1/2", "--method", "intersection"],
-     "8977f313fd1404000021137fcc3ad5e5aee80bf739d7bf71313bb40999a5c3f7"),
+     "51451f8c12ddbef331b36559439e56c43174fcf19c63a73d1ac32ee65258afbf"),
     (["web", "--max-level", "2", "--b", "1:1.5:5"],
-     "e64ff8ebaeff69bd1ae946a347d017a2534299e1c3970f53d257b3c6189f0d53"),
+     "8489e5ef9a59c71ad5585da72e085702815f2b5ba14b8d63d08b2bf8cb34a5c3"),
     (["scan", "--a", "0.4:0.6:5", "--b", "1.0:1.4:3", "--mode", "lock:1/2"],
      "134fa0339fd7c47c60be69b90f8b0e1f07ffb54e8aae19a4fffa4a0ea9415417"),
     (["scan", "--a", "0:0.5:4", "--b", "1.0:1.2:3", "--mode", "width", "--format", "pgm"],

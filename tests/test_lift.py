@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
+from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams, _sine_landmarks
 
 
 def g0(b, x):
@@ -80,6 +80,41 @@ def test_landmark_companions_and_ordering(b):
     # cross-check against a hand-rolled bisection on the same branches
     assert abs(lm.k_minus - bisect_companion(b, g0(b, lm.k), 0.0, lm.c)) < 1e-10
     assert abs(lm.c_plus - bisect_companion(b, g0(b, lm.c), lm.k, 1.0)) < 1e-10
+
+
+def mp_k_minus(b):
+    # k_minus by 200 bisections in 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        b, two_pi = mpmath.mpf(b), 2 * mpmath.pi
+        c = mpmath.acos(-1 / b) / two_pi
+
+        def g(x):
+            return x + b / two_pi * mpmath.sin(two_pi * x)
+
+        gk, lo, hi = g(1 - c), mpmath.mpf(0), c
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) < gk else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("b", [1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_landmarks_against_fifty_digits(b):
+    lm = _sine_landmarks.__wrapped__(b)  # bypasses the cache
+    assert abs(lm.k_minus - mp_k_minus(b)) <= 1e-13
+    assert lm.c_plus == 1.0 - lm.k_minus  # g(1 - x) = 1 - g(x) and k = 1 - c
+
+
+def test_landmarks_evaluation_budget(monkeypatch):
+    # each evaluation of g takes one sine; 16 per landmark set at most
+    sines, sin = [], math.sin
+    monkeypatch.setattr(math, "sin", lambda x: sines.append(x) or sin(x))
+    rng = np.random.default_rng(17)
+    for b in rng.uniform(1.01, 4.0, 200):
+        sines.clear()
+        _sine_landmarks.__wrapped__(float(b))
+        assert len(sines) <= 16, b
 
 
 def test_bound_eval_examples():

@@ -136,13 +136,14 @@ def test_fact9_tangency_signature_at_phi1():
 
 
 #: default-config width tips; b is as first recorded, to the last bit, and a
-#: and the residual are as the Newton psi solves give them (a moved by at most
-#: 1.6e-13 from the bisected psi solves)
+#: and the residual are as the Newton psi solves give them from the Newton
+#: landmarks (a moved by at most 1.6e-13 from the bisected psi solves, and by
+#: at most 1.8e-13 from the bisected landmarks)
 PINNED_TIPS = {
     Frac(1, 2): (0.5000000000000001, 2.1348986767604927, 4.3156589413229085e-12),
-    Frac(1, 3): (0.3696399518032894, 1.647391846515239, 3.1902258612603873e-12),
-    Frac(2, 5): (0.4100634590235736, 1.336572438962758, 8.243405957841787e-13),
-    Frac(3, 8): (0.3928411848794972, 1.1940916931256655, 2.1204149547315865e-12),
+    Frac(1, 3): (0.3696399518031209, 1.647391846515239, 3.594458064526407e-12),
+    Frac(2, 5): (0.41006345902374686, 1.336572438962758, 9.305889392408062e-13),
+    Frac(3, 8): (0.39284118487934316, 1.1940916931256655, 1.966149465459921e-12),
 }
 
 

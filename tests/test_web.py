@@ -55,14 +55,15 @@ def test_strand_defining_equation_residual():
 
 def test_strand_roots_by_newton_match_bisection(monkeypatch):
     # every strand root within solver_tol of bisection on the same objective and
-    # bracket, bracketed by the independent reference, at under 16 orbits a root
+    # bracket, bracketed by the independent reference, at under 16 orbits a root,
+    # evaluating a = p/q at most once
     evals = []
 
     def counted(*args, **kw):
         objective = _strand_objective(*args, **kw)
 
         def count(a):
-            evals[-1] += 1
+            evals[-1].append(a)
             return objective(a)
 
         return count
@@ -72,8 +73,9 @@ def test_strand_roots_by_newton_match_bisection(monkeypatch):
         for frac in enumerate_level(level):
             for b in (1.0, 1.05, 1.2, 1.5, 2.0, 2.5, 3.0):
                 for side in strand_sides(frac):
-                    evals.append(0)
+                    evals.append([])
                     a = _strand_root(frac, side, b, DEFAULT)
+                    assert evals[-1].count(frac.value) <= 1, (frac, side, b)
                     f, a0 = _strand_objective(frac, side, b), frac.value
                     r = abs(f(a0)) + 1e-9
                     want = bisect_root(f, a0 - r, a0 + r, DEFAULT.solver_tol)
@@ -81,7 +83,7 @@ def test_strand_roots_by_newton_match_bisection(monkeypatch):
                     assert reference.strand_brackets_root(frac.p, frac.q, side, b, a), \
                         (frac, side, b)
     assert len(evals) == 448
-    assert sum(evals) / len(evals) <= 16.0
+    assert sum(map(len, evals)) / len(evals) <= 16.0
 
 
 def test_strand_side_restrictions():
@@ -317,7 +319,7 @@ def test_verify_tip_cycle_half():
     cases = _tip_cycle_cases(HALF)
     assert cases[0].label.startswith("F^1(k_minus)") and cases[1].label.startswith("F^1(c_plus)")
     # the raw strand equations of the parents 0/1 and 1/1, read at the width tip
-    assert [c.measured for c in cases[:2]] == [4.653610830018806e-12, 4.653166740808956e-12]
+    assert [c.measured for c in cases[:2]] == [4.600653191744186e-12, 4.600542169441724e-12]
 
 
 def test_verify_tip_cycle_third():
