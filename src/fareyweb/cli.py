@@ -13,7 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from dataclasses import replace
@@ -27,7 +26,7 @@ from .errors import BracketError, ConsistencyError, TipNotFoundError
 from .farey import Frac, child, enumerate_level, level_and_path, parents, path_to_real
 from .lift import SINE, BoundSide, FamilyParams
 from .rotation import lock_status, rot_interval
-from .tongue import tip_by_width, trace
+from .tongue import sample_grid, tip_by_width, trace
 from .web import b_point, strand_sides, tip_by_intersection, trace_strand
 
 
@@ -41,12 +40,6 @@ def _parse_range(text: str, what: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _grid(lo: float, hi: float, n: int) -> list[float]:
-    if n == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -56,6 +49,15 @@ def _emit(text: str, out: str | None) -> None:
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(cfg: Config, columns: str, lines) -> str:
+    """The ``# config:`` header, the column line, then one line per row."""
+    return "".join(line + "\n" for line in (cfg.header(), columns, *lines))
+
+
+def _json(doc: dict, cfg: Config) -> str:
+    return _json_dumps({**doc, "config": cfg.as_dict()})
 
 
 # ---------------------------------------------------------------- subcommands
@@ -72,22 +74,17 @@ def _cmd_rotnum(args, cfg: Config) -> int:
         "upper": {"lo": ri.upper.lo, "hi": ri.upper.hi,
                   "iterations": ri.upper.iterations, "exact": ri.upper.exact},
         "width": ri.width,
-        "config": cfg.as_dict(),
     }
-    _emit(_json_dumps(doc), args.out)
+    _emit(_json(doc, cfg), args.out)
     return 0
 
 
 def _cmd_tongue(args, cfg: Config) -> int:
     frac = Frac.parse(args.frac)
     b_lo, b_hi, n = _parse_range(args.b, "--b")
-    rows = trace(frac, b_lo, b_hi, n, cfg)
-    buf = io.StringIO()
-    buf.write(cfg.header() + "\n")
-    buf.write("b,phi2,psi1,psi2,phi1\n")
-    for sec in rows:
-        buf.write(f"{sec.b!r},{sec.phi2!r},{sec.psi1!r},{sec.psi2!r},{sec.phi1!r}\n")
-    _emit(buf.getvalue(), args.out)
+    lines = [f"{s.b!r},{s.phi2!r},{s.psi1!r},{s.psi2!r},{s.phi1!r}"
+             for s in trace(frac, b_lo, b_hi, n, cfg)]
+    _emit(_csv(cfg, "b,phi2,psi1,psi2,phi1", lines), args.out)
     return 0
 
 
@@ -95,12 +92,8 @@ def _cmd_strand(args, cfg: Config) -> int:
     frac = Frac.parse(args.frac)
     b_lo, b_hi, n = _parse_range(args.b, "--b")
     pts = trace_strand(frac, args.side, b_lo, b_hi, n, cfg, method=args.method)
-    buf = io.StringIO()
-    buf.write(cfg.header() + "\n")
-    buf.write("b,a,constraints_verified\n")
-    for p in pts:
-        buf.write(f"{p.b!r},{p.a!r},{int(p.constraints_verified)}\n")
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv(cfg, "b,a,constraints_verified",
+               (f"{p.b!r},{p.a!r},{int(p.constraints_verified)}" for p in pts)), args.out)
     return 0
 
 
@@ -122,19 +115,18 @@ def _cmd_tip(args, cfg: Config) -> int:
         tips.append(tip_by_width(frac, cfg, args.full_scan))
     if args.method in ("intersection", "both"):
         tips.append(tip_by_intersection(frac, cfg, args.full_scan))
-    doc: dict = {"tips": [_tip_doc(t) for t in tips], "config": cfg.as_dict()}
+    doc: dict = {"tips": [_tip_doc(t) for t in tips]}
     if len(tips) == 2:
         doc["discrepancy"] = {"da": abs(tips[0].a - tips[1].a),
                               "db": abs(tips[0].b - tips[1].b)}
-    _emit(_json_dumps(doc), args.out)
+    _emit(_json(doc, cfg), args.out)
     return 0
 
 
 def _cmd_bpoint(args, cfg: Config) -> int:
     frac = Frac.parse(args.frac)
     a, b = b_point(frac, cfg)
-    _emit(_json_dumps({"frac": str(frac), "a": a, "b": b,
-                       "config": cfg.as_dict()}), args.out)
+    _emit(_json({"frac": str(frac), "a": a, "b": b}, cfg), args.out)
     return 0
 
 
@@ -146,29 +138,26 @@ def _cmd_web(args, cfg: Config) -> int:
     for lvl in range(args.max_level + 1):
         fracs.extend(enumerate_level(lvl))
     fracs = sorted(set(fracs))
-    buf = io.StringIO()
-    buf.write(cfg.header() + "\n")
-    buf.write("p,q,side,b,a,constraints_verified\n")
+    lines = []
     strands = {}
     for f in fracs:
         for side in strand_sides(f):
             pts = trace_strand(f, side, b_lo, b_hi, n, cfg)
             strands[(f, side)] = pts
-            for p in pts:
-                buf.write(f"{f.p},{f.q},{side},{p.b!r},{p.a!r},"
-                          f"{int(p.constraints_verified)}\n")
+            lines += (f"{f.p},{f.q},{side},{p.b!r},{p.a!r},{int(p.constraints_verified)}"
+                      for p in pts)
     points = {"tips": [], "bpoints": []}
     for f in fracs:
         a, b = b_point(f, cfg)
         points["bpoints"].append((f, a, b))
-        buf.write(f"# bpoint,{f.p},{f.q},{a!r},{b!r}\n")
+        lines.append(f"# bpoint,{f.p},{f.q},{a!r},{b!r}")
     for f in fracs:
         if f.is_endpoint:
             continue
         t = tip_by_intersection(f, cfg)
         points["tips"].append(t)
-        buf.write(f"# tip,{f.p},{f.q},{t.a!r},{t.b!r},{t.residual!r}\n")
-    _emit(buf.getvalue(), args.out)
+        lines.append(f"# tip,{f.p},{f.q},{t.a!r},{t.b!r},{t.residual!r}")
+    _emit(_csv(cfg, "p,q,side,b,a,constraints_verified", lines), args.out)
     if args.svg:
         Path(args.svg).write_text(_web_svg(strands, points, b_lo, b_hi))
     return 0
@@ -219,10 +208,14 @@ def _cmd_scan(args, cfg: Config) -> int:
         raise ValueError(f"mode must be width or lock:p/q, got {args.mode!r}")
     if mode == "lock" and not frac_txt:
         raise ValueError("lock mode needs a fraction: lock:p/q")
-    a_vals, b_vals = _grid(a_lo, a_hi, nx), _grid(b_lo, b_hi, ny)
+    a_vals, b_vals = sample_grid(a_lo, a_hi, nx), sample_grid(b_lo, b_hi, ny)
     if mode == "width":
         # one orbit of n steps pins each bound's rotation number to width 2/n
-        n = min(cfg.rot_max_iter, int(np.ceil(2.0 / cfg.scan_tol)))
+        n = 2.0 / cfg.scan_tol  # compared before ceil, which overflows on inf
+        if n > cfg.rot_max_iter:
+            raise ValueError(f"scan_tol={cfg.scan_tol!r} needs 2/scan_tol map steps, "
+                             f"more than rot_max_iter={cfg.rot_max_iter}")
+        n = int(np.ceil(n))
         up, low = (SINE.iterate_grid(a_vals, np.array(b_vals)[:, None], side, 0.0, n)
                    for side in (BoundSide.UPPER, BoundSide.LOWER))
         rows = np.maximum(0.0, up / n - low / n).tolist()
@@ -232,13 +225,8 @@ def _cmd_scan(args, cfg: Config) -> int:
         rows = [[value[lock_status(FamilyParams(a, b), frac, num=cfg).state]
                  for a in a_vals] for b in b_vals]
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(cfg.header() + "\n")
-        buf.write("a,b,value\n")
-        for b, row in zip(b_vals, rows):
-            for a, v in zip(a_vals, row):
-                buf.write(f"{a!r},{b!r},{v!r}\n")
-        _emit(buf.getvalue(), args.out)
+        _emit(_csv(cfg, "a,b,value", (f"{a!r},{b!r},{v!r}" for b, row in zip(b_vals, rows)
+                                      for a, v in zip(a_vals, row))), args.out)
     else:
         data = np.array(rows)
         vmax = float(data.max()) if mode == "width" else 1.0
@@ -266,9 +254,7 @@ def _cmd_verify(args, cfg: Config) -> int:
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"suite {args.suite!r} cannot take {params}: {exc}") from exc
     if args.json:
-        doc = report.to_dict()
-        doc["config"] = cfg.as_dict()
-        _emit(_json_dumps(doc), args.out)
+        _emit(_json(report.to_dict(), cfg), args.out)
     else:
         _emit(report.to_text() + "\n", args.out)
     return 0 if report.passed else 3

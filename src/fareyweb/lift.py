@@ -132,12 +132,8 @@ class SineFamily:
         return _sine_landmarks(float(b))
 
     def bound_eval(self, params: FamilyParams, side: BoundSide, x: float) -> float:
-        """The selected map at one point; degree one is preserved exactly."""
-        if side is BoundSide.RAW or params.b <= self.b_critical:
-            return self.eval(params, x)
-        lo, hi, top = _plateau(side, params.b)
-        t = x - math.floor(x)
-        return self.eval(params, top if lo <= t <= hi else t) + (x - t)
+        """The selected map at one point: one step of ``iterate``, bit for bit."""
+        return self.iterate(params, side, x, 1)
 
     def delta(self, b: float) -> float:
         """Sup-norm gap between the upper and lower bounds; 0 iff b <= 1.

@@ -111,8 +111,7 @@ def _disp_grid(params: FamilyParams, side: BoundSide, p: int, q: int,
 
 
 def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
-                   mode: str, family, grid: tuple[int, int], xtol: float,
-                   band: float | None = None):
+                   mode: str, family, grid: tuple[int, int], band: float | None = None):
     """Extrema of F^q(x) - x - p from a grid pass, refined inside the best cell.
 
     ``mode`` "min" or "max" returns (value, x) of that extremum; "both" returns
@@ -120,7 +119,7 @@ def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
     bound of a non-decreasing map (tried on every ``STRIDE``-th point first)
     below -band, is returned unrefined, and likewise for a min: either lies
     between the extremum and 0.  The grid pass equals ``family.iterate``
-    (``family`` is always ``SINE``) bit for bit.
+    (``family`` is always ``SINE``) bit for bit; golden refinement runs to 1e-13.
     """
     n = grid[0] + grid[1] * q
     monotone = side is not BoundSide.RAW or params.b <= SINE.b_critical
@@ -140,7 +139,7 @@ def _disp_extremum(params: FamilyParams, side: BoundSide, p: int, q: int,
             if s * g[i] + cell < -band:
                 return float(g[i] + s * cell), float(xs[i])
         x_ref, v_ref = golden(lambda x: family.iterate(params, side, x, q) - x - p,
-                              xs[i] - 1.0 / n, xs[i] + 1.0 / n, xtol)
+                              xs[i] - 1.0 / n, xs[i] + 1.0 / n)
         return ((float(g[i]), float(xs[i])) if s * g[i] > s * v_ref
                 else (float(v_ref), float(x_ref % 1.0)))
 
@@ -163,7 +162,7 @@ def displacement_extrema(params: FamilyParams, side: BoundSide, frac: Frac,
     """
     _check_cap(frac, num)
     p = frac.p + offset * frac.q
-    return _disp_extremum(params, side, p, frac.q, "both", SINE, num.grid, 1e-13)
+    return _disp_extremum(params, side, p, frac.q, "both", SINE, num.grid)
 
 
 def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
@@ -179,16 +178,16 @@ def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
     _check_cap(frac, num)
     p = frac.p + offset * frac.q
     if params.b <= SINE.b_critical:
-        ext = _disp_extremum(params, BoundSide.RAW, p, frac.q, "both", SINE, num.grid, 1e-13,
+        ext = _disp_extremum(params, BoundSide.RAW, p, frac.q, "both", SINE, num.grid,
                              band=LOCK_BAND)
         max_low, min_up = ext.maximum, ext.minimum
     else:
         max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", SINE,
-                                    num.grid, 1e-13, band=LOCK_BAND)
+                                    num.grid, band=LOCK_BAND)
         if max_low <= -LOCK_BAND:  # the lower bound alone rules the lock out
             return LockStatus("not_locked")
         min_up, _ = _disp_extremum(params, BoundSide.UPPER, p, frac.q, "min", SINE,
-                                   num.grid, 1e-13, band=LOCK_BAND)
+                                   num.grid, band=LOCK_BAND)
     if max_low >= LOCK_BAND and min_up <= -LOCK_BAND:
         return LockStatus("locked", frac)
     if max_low <= -LOCK_BAND or min_up >= LOCK_BAND:
@@ -205,13 +204,13 @@ def _try_snap(params: FamilyParams, side: BoundSide, p: int, q: int,
     is never reported on proximity alone.
     """
     margin = 1e-12
-    ext = _disp_extremum(params, side, p, q, "both", SINE, num.grid, 1e-13, band=margin)
+    ext = _disp_extremum(params, side, p, q, "both", SINE, num.grid, band=margin)
     if ext.minimum <= -margin and ext.maximum >= margin:
         return p, q
     return None
 
 
-def _descend(params: FamilyParams, side: BoundSide, num: Config, snap: bool) -> Enclosure:
+def _descend(params: FamilyParams, side: BoundSide, num: Config) -> Enclosure:
     """Enclosure of the rotation number of one bound by Farey descent.
 
     Nodes are integer pairs (p, q).  From the integer bracket around F(0) each
@@ -237,7 +236,7 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config, snap: bool) -> 
         return 1 if g > 0 else -1
 
     def snapped(node) -> Enclosure | None:
-        if not snap or node[1] > num.q_cap or node in tried:
+        if node[1] > num.q_cap or node in tried:
             return None
         tried.add(node)
         hit = _try_snap(params, side, *node, num)
@@ -314,19 +313,18 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config, snap: bool) -> 
     return finish(lo, hi)
 
 
-def rot_interval(params: FamilyParams, num: Config = DEFAULT, *,
-                 snap: bool = True) -> RotationInterval:
+def rot_interval(params: FamilyParams, num: Config = DEFAULT) -> RotationInterval:
     """Rotation interval [rho(lower bound), rho(upper bound)] of the family map.
 
     Each endpoint is enclosed by a Farey descent (``_descend``) to width
-    rot_tol within rot_max_iter map steps; with ``snap`` an endpoint certified
-    to be a rational p/q is returned exactly.  Up to the critical line both
-    bounds are the map itself and one descent serves both.
+    rot_tol within rot_max_iter map steps; an endpoint that ``_try_snap``
+    certifies to be a rational p/q is returned exactly.  Up to the critical
+    line both bounds are the map itself and one descent serves both.
     """
-    lower = _descend(params, BoundSide.LOWER, num, snap)
+    lower = _descend(params, BoundSide.LOWER, num)
     if params.b <= SINE.b_critical:
         return RotationInterval(lower, lower)
-    return RotationInterval(lower, _descend(params, BoundSide.UPPER, num, snap))
+    return RotationInterval(lower, _descend(params, BoundSide.UPPER, num))
 
 
 def orbit_averages(params: FamilyParams, starts: np.ndarray, n: int) -> np.ndarray:

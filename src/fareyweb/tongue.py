@@ -113,8 +113,7 @@ def _objective(kind: str, frac: Frac, b: float, num: Config):
     p, q, grid = frac.p, frac.q, num.grid
 
     def objective(a: float) -> tuple[float, float]:
-        value, x = _disp_extremum(FamilyParams(a, b), side, p, q, which, SINE, grid, 1e-13,
-                                  band=0.0)
+        value, x = _disp_extremum(FamilyParams(a, b), side, p, q, which, SINE, grid, band=0.0)
         return value, SINE.iterate_slope(a, b, side, x, q)[1]
 
     return objective
@@ -181,22 +180,26 @@ def locking_interval(frac: Frac, b: float,
     return None
 
 
-def _sweep(sample, coords, b_lo: float, b_hi: float, steps: int, floor: float,
-           budget: float | None = None, drift=None) -> list:
-    """``sample(b)`` at ``steps`` uniformly spaced b; adjacent jumps above budget are warned.
+def sample_grid(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` evenly spaced values from lo to hi; one sample is lo alone."""
+    gaps = max(n - 1, 1)
+    return [lo + (hi - lo) * i / gaps for i in range(n)]
 
-    One step samples ``b_lo`` alone.  ``coords(point)`` lists the (label,
-    value) pairs compared between neighbouring samples.  The default budget
-    scales with the step, never below ``floor``, so that regular drift in b
-    never trips it; only step-disproportionate jumps are flagged.  A
-    ``drift(b_prev, b)`` adds to the budget of each neighbouring pair.
+
+def _sweep(sample, coords, b_lo: float, b_hi: float, steps: int, floor: float,
+           drift=None) -> list:
+    """``sample(b)`` on ``sample_grid(b_lo, b_hi, steps)``; adjacent jumps above budget are warned.
+
+    ``coords(point)`` lists the (label, value) pairs compared between
+    neighbouring samples.  The budget is max(``floor``, twice the b step), so
+    that regular drift in b never trips it; only step-disproportionate jumps
+    are flagged.  A ``drift(b_prev, b)`` adds to
+    the budget of each neighbouring pair.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    gaps = max(steps - 1, 1)
-    if budget is None:
-        budget = max(floor, 2.0 * (b_hi - b_lo) / gaps)
-    out = [sample(b_lo + (b_hi - b_lo) * i / gaps) for i in range(steps)]
+    budget = max(floor, 2.0 * (b_hi - b_lo) / max(steps - 1, 1))
+    out = [sample(b) for b in sample_grid(b_lo, b_hi, steps)]
     for prev, cur in zip(out, out[1:]):
         allowed = budget + (drift(prev.b, cur.b) if drift else 0.0)
         for (label, v_prev), (_, v_cur) in zip(coords(prev), coords(cur)):
@@ -207,15 +210,15 @@ def _sweep(sample, coords, b_lo: float, b_hi: float, steps: int, floor: float,
     return out
 
 
-def trace(frac: Frac, b_lo: float, b_hi: float, steps: int, num: Config = DEFAULT, *,
-          continuity_budget: float | None = None) -> list[TongueSection]:
-    """Sections at uniformly spaced b; adjacent jumps above budget are warned."""
+def trace(frac: Frac, b_lo: float, b_hi: float, steps: int,
+          num: Config = DEFAULT) -> list[TongueSection]:
+    """Sections on ``sample_grid``; neighbours apart by over max(0.02, 2 b-steps) are warned."""
     if b_lo > b_hi:
         raise ValueError("b_lo must not exceed b_hi")
     return _sweep(lambda b: section(frac, b, num),
                   lambda sec: [(f"{name} of {frac}", getattr(sec, name))
                                for name in BOUNDARY_KINDS],
-                  b_lo, b_hi, steps, 0.02, continuity_budget)
+                  b_lo, b_hi, steps, 0.02)
 
 
 def _first_crossing(objectives, frac: Frac, num: Config, full_scan: bool,

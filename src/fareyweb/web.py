@@ -21,10 +21,10 @@ import numpy as np
 from .errors import ConsistencyError
 from .farey import Frac, parents
 from .config import DEFAULT, Config, cached
-from .lift import SINE, TWO_PI, BoundSide, FamilyParams
+from .lift import SINE, BoundSide, FamilyParams
 from .rotation import _check_cap, _disp_grid
 from .solvers import bisect_root, golden_max, golden_min, newton_root
-from .tongue import Tip, _first_crossing, _sweep, boundary
+from .tongue import Tip, _default_bracket, _first_crossing, _sweep, boundary
 
 #: circle-distance tolerance for the orbit-avoidance checks
 CONSTRAINT_TOL = 1e-9
@@ -238,9 +238,7 @@ def strand_point(frac: Frac, side: str, b: float, num: Config = DEFAULT, *,
     verified = all(f in ("ok", "relaxed") for f in flags)
     how = "bound"
     if method == "continued" and not verified:
-        r = 0.5 + b / TWO_PI
-        cands = [a for a in _raw_strand_roots(frac, side, b, frac.value - r,
-                                              frac.value + r, num)
+        cands = [a for a in _raw_strand_roots(frac, side, b, *_default_bracket(frac, b), num)
                  if _segment_is_twist(frac, side, a, b)]
         if cands:
             a_star = min(cands, key=lambda a: abs(a - a_star))

@@ -277,6 +277,20 @@ def test_scan_width_cells_match_scalar_orbits(tmp_path):
         assert cli.main(["scan", "--a", bad, "--b", "1:2:2", "--out", str(out)]) == 1
 
 
+def test_width_raster_refuses_a_scan_tol_it_cannot_apply(tmp_path, capsys):
+    # 2 / scan_tol = 2000 map steps; a shorter orbit would be wider than the
+    # scan_tol that the header echoes
+    args = ["scan", "--a", "0.2:0.3:2", "--b", "1.5:1.5:1", "--mode", "width",
+            "--out", str(tmp_path / "width.csv")]
+    assert cli.main(["--set", "rot_max_iter=100", *args]) == 1
+    err = capsys.readouterr().err
+    assert "scan_tol=0.001" in err and "rot_max_iter=100" in err, err
+    assert cli.main(["--set", "rot_max_iter=2000", *args]) == 0
+    # 2 / scan_tol overflows to inf here
+    assert cli.main(["--set", "scan_tol=1e-320", *args]) == 1
+    assert "rot_max_iter=10000000" in capsys.readouterr().err
+
+
 def test_scan_pgm_header():
     out = run_cli("scan", "--a", "0:0.5:4", "--b", "1.0:1.2:2", "--mode", "width",
                   "--format", "pgm").stdout

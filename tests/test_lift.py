@@ -129,6 +129,22 @@ def test_bound_eval_examples():
     assert abs(SINE.bound_eval(p2, BoundSide.UPPER, mid_u) - SINE.eval(p2, lm.c)) < 1e-15
 
 
+def test_bound_eval_is_one_iterate_step():
+    # bit for bit, also where the image is negative and where x lies outside [0, 1)
+    rng = np.random.default_rng(18)
+    negative = outside = 0
+    for b in (0.5, 1.0, 1.5, 2.5):
+        for side in BoundSide:
+            for a, x in zip(rng.uniform(-1.0, 1.0, 500), rng.uniform(-3.0, 3.0, 500)):
+                params = FamilyParams(float(a), b)
+                want = SINE.iterate(params, side, float(x), 1)
+                got = SINE.bound_eval(params, side, float(x))
+                assert repr(got) == repr(want), (params, side, x)
+                negative += want < 0.0
+                outside += not 0.0 <= x < 1.0
+    assert negative > 1000 and outside > 1000
+
+
 @pytest.mark.parametrize("b", [1.3, 2.0])
 def test_bounds_sandwich_and_monotone(b):
     params = FamilyParams(0.37, b)

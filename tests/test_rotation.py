@@ -21,7 +21,7 @@ def test_rho_fixed_point_family():
 
 def test_rho_monotone_in_translation():
     # the rotation number of the lower bound is non-decreasing in a
-    encs = [rot_interval(FamilyParams(a, 1.6), Config(rot_tol=1e-4), snap=False).lower
+    encs = [rot_interval(FamilyParams(a, 1.6), Config(rot_tol=1e-4)).lower
             for a in (0.1, 0.2, 0.3)]
     for e1, e2 in zip(encs, encs[1:]):
         assert e2.lo >= e1.lo - 1e-4
@@ -34,8 +34,8 @@ def test_rot_interval_invertible_is_degenerate():
 
 
 def test_rot_interval_translation_by_one():
-    ri0 = rot_interval(FamilyParams(0.3, 1.6), Config(rot_tol=1e-4), snap=False)
-    ri1 = rot_interval(FamilyParams(1.3, 1.6), Config(rot_tol=1e-4), snap=False)
+    ri0 = rot_interval(FamilyParams(0.3, 1.6), Config(rot_tol=1e-4))
+    ri1 = rot_interval(FamilyParams(1.3, 1.6), Config(rot_tol=1e-4))
     assert abs(ri1.lower.lo - ri0.lower.lo - 1.0) < 1e-9
     assert abs(ri1.upper.hi - ri0.upper.hi - 1.0) < 1e-9
 
@@ -43,8 +43,8 @@ def test_rot_interval_translation_by_one():
 def test_rot_interval_odd_symmetry():
     # conjugating by x -> -x negates rotation numbers and swaps the endpoints
     for a in (0.0, 0.21):
-        ri_pos = rot_interval(FamilyParams(a, 1.9), Config(rot_tol=1e-5), snap=False)
-        ri_neg = rot_interval(FamilyParams(-a, 1.9), Config(rot_tol=1e-5), snap=False)
+        ri_pos = rot_interval(FamilyParams(a, 1.9), Config(rot_tol=1e-5))
+        ri_neg = rot_interval(FamilyParams(-a, 1.9), Config(rot_tol=1e-5))
         assert abs(ri_pos.lower.mid + ri_neg.upper.mid) < 1e-4
         assert abs(ri_pos.upper.mid + ri_neg.lower.mid) < 1e-4
 
@@ -196,9 +196,9 @@ def test_lock_status_examples():
 def _two_pass_lock_state(params, frac):
     p, q = frac.p, frac.q
     max_low, _ = rotation._disp_extremum(params, BoundSide.LOWER, p, q, "max", SINE,
-                                         DEFAULT.grid, 1e-13, band=rotation.LOCK_BAND)
+                                         DEFAULT.grid, band=rotation.LOCK_BAND)
     min_up, _ = rotation._disp_extremum(params, BoundSide.UPPER, p, q, "min", SINE,
-                                        DEFAULT.grid, 1e-13, band=rotation.LOCK_BAND)
+                                        DEFAULT.grid, band=rotation.LOCK_BAND)
     band = rotation.LOCK_BAND
     if max_low >= band and min_up <= -band:
         return "locked"

@@ -2,6 +2,8 @@ import functools
 import math
 import random
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,8 +89,25 @@ def test_trace_orderings_and_degenerate_range():
 
 
 def test_trace_flags_artificial_jump():
-    with pytest.warns(RuntimeWarning):
-        trace(ZERO, 0.0, 1.0, 3, continuity_budget=1e-3)
+    # the sweep under trace; its budget at 3 samples over [0, 1] is max(0.02, 2 * 0.5) = 1
+    def sample(b):
+        return SimpleNamespace(b=b, v=5.0 if b > 0.75 else b)
+
+    def coords(pt):
+        return [("v", pt.v)]
+
+    with pytest.warns(RuntimeWarning, match="v jumps by 4.5 between b=0.5 and b=1.0"):
+        tongue._sweep(sample, coords, 0.0, 1.0, 3, 0.02)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = tongue._sweep(lambda b: SimpleNamespace(b=b, v=b), coords, 0.0, 1.0, 3, 0.02)
+    assert [pt.b for pt in rows] == [0.0, 0.5, 1.0]
+
+
+def test_sample_grid_single_sample_and_empty_span():
+    assert tongue.sample_grid(0.3, 0.9, 1) == [0.3]
+    assert tongue.sample_grid(0.7, 0.7, 4) == [0.7] * 4
+    assert tongue.sample_grid(1.0, 2.0, 5) == [1.0, 1.25, 1.5, 1.75, 2.0]
 
 
 def test_tip_half_symmetric():
@@ -292,8 +311,7 @@ def test_grid_witness_sign_matches_refined_sign(frac):
             root = boundary(kind, frac, b)
             for a in [root + d for d in offsets] + [
                     frac.value + rng.uniform(-0.3, 0.3) for _ in range(3)]:
-                args = (FamilyParams(a, b), side, frac.p, frac.q, which, SINE, DEFAULT.grid,
-                        1e-13)
+                args = (FamilyParams(a, b), side, frac.p, frac.q, which, SINE, DEFAULT.grid)
                 refined, _ = rotation._disp_extremum(*args)
                 for band in (0.0, 1e-12, rotation.LOCK_BAND):
                     witness, _ = rotation._disp_extremum(*args, band=band)
