@@ -414,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.overrides)
         return args.fn(args, cfg)
     except (BracketError, ConsistencyError, TipNotFoundError, ValueError,
-            KeyError, ZeroDivisionError) as exc:
+            KeyError, ZeroDivisionError, OSError) as exc:  # OSError: --config, --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

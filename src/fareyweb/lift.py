@@ -104,8 +104,9 @@ class SineFamily:
     (accepting floats or numpy arrays), analytic ``derivative`` up to order 3,
     ``b_critical``, per-b ``landmarks``, plateau-truncated ``bound_eval`` at one
     point, and the compositions: every orbit runs either in the scalar loop of
-    ``iterate`` or in ``iterate_grid``, the one array pass, which matches it
-    bit for bit (``iterate_array`` is that pass at one parameter pair).
+    ``advance`` (``iterate`` from a start x, ``rotation`` from a stored orbit
+    state) or in ``iterate_grid``, the one array pass, which matches it bit
+    for bit (``iterate_array`` is that pass at one parameter pair).
     ``iterate_slope`` is ``iterate``'s loop at float a and b with the
     a-derivative carried along, for the Newton solves on strands and tongue
     boundaries; it is a separate loop so that ``iterate`` carries no flag.
@@ -161,16 +162,25 @@ class SineFamily:
         """n-fold composition of the selected map.
 
         The argument is kept reduced mod 1 with the integer part carried
-        separately, so long orbits do not lose precision in the sine argument.
-        The map takes the flat value on its plateau; a raw map, and any map
-        up to the critical line, has the empty plateau (inf, -inf).
+        separately, so long orbits do not lose precision in the sine argument:
+        x splits into the orbit state (t, carry) that ``advance`` moves.
         """
         if n < 1:
             raise ValueError("n must be positive")
+        t = x - math.floor(x)
+        t, carry = self.advance(params, side, (t, x - t), n)
+        return carry + t
+
+    def advance(self, params: FamilyParams, side: BoundSide, state: tuple[float, float],
+                n: int) -> tuple[float, float]:
+        """The orbit state (t, carry) after n >= 0 more steps; in pieces, bit for bit one run.
+
+        The map takes the flat value on its plateau; a raw map, and any map
+        up to the critical line, has the empty plateau (inf, -inf).
+        """
         a, b = params.a, params.b
         amp = b / TWO_PI
-        t = x - math.floor(x)
-        carry = x - t
+        t, carry = state
         lo_edge, hi_edge, top = ((math.inf, -math.inf, 0.0) if side is BoundSide.RAW
                                  or b <= self.b_critical else _plateau(side, b))
         flat = top + a + amp * math.sin(TWO_PI * top)
@@ -185,7 +195,7 @@ class SineFamily:
             if t >= 1.0:
                 t -= 1.0
                 carry += 1.0
-        return carry + t
+        return t, carry
 
     def iterate_slope(self, a: float, b: float, side: BoundSide, x: float,
                       n: int) -> tuple[float, float]:

@@ -8,7 +8,7 @@ number rho:
   2/n (the width rasters of ``fareyweb scan``, and the end of a Farey
   descent at a tie that no sign test certifies);
 * a Farey test: F^q(0) >= p implies rho >= p/q and F^q(0) <= p implies
-  rho <= p/q, for the cost of q map steps;
+  rho <= p/q; it reads a q-step prefix of the orbit of 0;
 * a cell bound: for non-decreasing F, g = F^q(x) - x - p obeys
   g(x_i) - h <= g <= g(x_i + h) + h on each grid cell of width h, so one grid
   pass encloses both extrema of g (a first-order interval enclosure).
@@ -16,7 +16,9 @@ number rho:
 The rotation interval of the family map runs from the rotation number of its
 lower monotone bound to that of its upper one.  ``rot_interval`` encloses each
 by a Stern-Brocot descent of Farey tests, which ends on a pair of certified
-Farey neighbours p/q < p'/q' with 1/(q q') <= rot_tol.  An exact rational
+Farey neighbours p/q < p'/q' with 1/(q q') <= rot_tol.  All its tests read
+prefixes of one orbit of 0, so each runs only the steps past the longest
+prefix computed before it, bit for bit a fresh orbit.  An exact rational
 comes only from a strict two-sided sign test of the q-step displacement
 (``_try_snap``), which finds a periodic orbit of type p/q.
 """
@@ -24,6 +26,7 @@ comes only from a strict two-sided sign test of the q-step displacement
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 
@@ -54,7 +57,7 @@ class Enclosure:
 
     lo: float
     hi: float
-    iterations: int = 0  # scalar map steps of its orbit or Farey tests
+    iterations: int = 0  # map steps its tests and orbit read (a descent runs fewer)
     exact: tuple[int, int] | None = None  # snapped rational (num, den), num signed
 
     def __post_init__(self):
@@ -213,6 +216,13 @@ def _try_snap(params: FamilyParams, side: BoundSide, p: int, q: int,
 def _descend(params: FamilyParams, side: BoundSide, num: Config) -> Enclosure:
     """Enclosure of the rotation number of one bound by Farey descent.
 
+    Every Farey test, F(0) and the closing orbit read a prefix of the orbit
+    of 0; ``orbit`` resumes the longest stored prefix no longer than q, bit
+    for bit a fresh orbit, so a gallop to node j with its bisection runs
+    about j q steps, not (2 + log j) j q.  ``spent`` charges the q steps a
+    test reads: the step budget, the snap decision and ``iterations`` do not
+    depend on the steps run.
+
     Nodes are integer pairs (p, q).  From the integer bracket around F(0) each
     run tests the nodes base + j * target (j = 1, 2, 4, ... then bisection on
     j) until it leaves the bracket side it moves along; consecutive nodes of a
@@ -226,11 +236,19 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config) -> Enclosure:
     """
     spent = 1
     tried = set()
+    lengths, states = [0], [(0.0, 0.0)]  # computed prefixes of the orbit of 0, ascending
+
+    def orbit(q: int) -> float:
+        i = bisect_right(lengths, q)
+        t, carry = SINE.advance(params, side, states[i - 1], q - lengths[i - 1])
+        lengths.insert(i, q)
+        states.insert(i, (t, carry))
+        return carry + t
 
     def sign(p: int, q: int) -> int:
         nonlocal spent
         spent += q
-        g = SINE.iterate(params, side, 0.0, q) - p
+        g = orbit(q) - p
         if abs(g) <= ROUND_BAND * (q + abs(p)):
             return 0
         return 1 if g > 0 else -1
@@ -253,12 +271,12 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config) -> Enclosure:
         n = min(math.ceil(2.0 / num.rot_tol), num.rot_max_iter - spent)
         if hit or tie is None or n < 1:
             return hit or Enclosure(lo[0] / lo[1], hi[0] / hi[1], spent)
-        v = SINE.iterate(params, side, 0.0, n)
+        v = orbit(n)
         band = ROUND_BAND * (n + abs(v))
         return Enclosure(max(lo[0] / lo[1], (math.ceil(v - band) - 1) / n),
                          min(hi[0] / hi[1], (math.floor(v + band) + 1) / n), spent + n)
 
-    v = SINE.iterate(params, side, 0.0, 1)
+    v = orbit(1)
     n = round(v)
     if abs(v - n) <= ROUND_BAND * (1 + abs(n)):
         return finish((n - 1, 1), (n + 1, 1), (n, 1))
@@ -317,9 +335,11 @@ def rot_interval(params: FamilyParams, num: Config = DEFAULT) -> RotationInterva
     """Rotation interval [rho(lower bound), rho(upper bound)] of the family map.
 
     Each endpoint is enclosed by a Farey descent (``_descend``) to width
-    rot_tol within rot_max_iter map steps; an endpoint that ``_try_snap``
-    certifies to be a rational p/q is returned exactly.  Up to the critical
-    line both bounds are the map itself and one descent serves both.
+    rot_tol within rot_max_iter map steps read; its Farey tests read prefixes
+    of one orbit of 0, which the descent extends rather than recomputes.  An
+    endpoint that ``_try_snap`` certifies to be a rational p/q is returned
+    exactly.  Up to the critical line both bounds are the map itself and one
+    descent serves both.
     """
     lower = _descend(params, BoundSide.LOWER, num)
     if params.b <= SINE.b_critical:

@@ -94,6 +94,22 @@ def test_unknown_config_key_exits_1(capsys):
         assert needle in err, (args, err)
 
 
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert cli.main(["--config", str(missing), "rotnum", "--a", "0.3", "--b", "1.8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_unwritable_out_exits_1(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert cli.main(["rotnum", "--a", "0.3", "--b", "1.8", "--tol", "1e-4",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.exists()
+
+
 def test_rotnum_json():
     proc = run_cli("rotnum", "--a", "0.0", "--b", "2.0", "--tol", "1e-4")
     doc = json.loads(proc.stdout)

@@ -263,6 +263,27 @@ def test_iterate_long_orbit_stays_reduced():
     assert 0.25 < v / 200000 < 0.35
 
 
+def test_advance_in_pieces_is_one_iterate():
+    # resuming a stored orbit state replays the same arithmetic, bit for bit
+    rng = np.random.default_rng(19)
+    cases = [(FamilyParams(float(rng.uniform(-1.0, 1.0)), b), side, float(rng.uniform(-3.0, 3.0)))
+             for b in (0.5, 1.0, 1.5, 3.0) for side in BoundSide for _ in range(100)]
+    # F(0) = -1e-17 lands just below 0, so t = v - floor(v) rounds up to 1.0 and wraps
+    assert -1e-17 - math.floor(-1e-17) == 1.0
+    cases += [(FamilyParams(-1e-17, b), side, x) for b in (0.5, 1.0) for side in BoundSide
+              for x in (0.0, -2.0)]
+    for params, side, x in cases:
+        n = int(rng.integers(1, 40))
+        cuts = sorted(rng.choice(np.arange(1, n + 1), int(rng.integers(1, 4))).tolist())
+        t = x - math.floor(x)
+        state = SINE.advance(params, side, (t, x - t), 0)
+        assert state == (t, x - t)
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            state = SINE.advance(params, side, state, hi - lo)
+        want = SINE.iterate(params, side, x, n)
+        assert repr(state[1] + state[0]) == repr(want), (params, side, x, n, cuts)
+
+
 def _plateau_edges(side, b):
     lm = SINE.landmarks(b)
     return (lm.k_minus, lm.k) if side is BoundSide.LOWER else (lm.c, lm.c_plus)

@@ -141,6 +141,67 @@ def test_tie_snaps_only_when_certified(monkeypatch):
     assert enc.iterations == 1000 and enc.contains(0.0) and tol < enc.width <= 2 / 999
 
 
+#: repr of (lower, upper) of rot_interval at (a, b, rot_tol, rot_max_iter), recorded
+#: when every Farey test ran a fresh orbit of 0: the twelve orbits-benchmark draws
+#: of seed 1, one b > 1 point at rot_tol 1e-4, and two points where rot_max_iter
+#: binds (the second ends on its closing orbit).  Resuming stored prefixes of the
+#: orbit must reproduce them exactly, step counts included.
+PINNED_INTERVALS = {
+    (0.050180459637834594, 0.5671821220562006, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.0, hi=0.0, iterations=20, exact=(0, 1))',
+        'Enclosure(lo=0.0, hi=0.0, iterations=20, exact=(0, 1))'),
+    (0.9449956651371225, 0.8818873094883071, 1e-06, 10_000_000): (
+        'Enclosure(lo=1.0, hi=1.0, iterations=20, exact=(1, 1))',
+        'Enclosure(lo=1.0, hi=1.0, iterations=20, exact=(1, 1))'),
+    (0.5, 0.7477175435459704, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.5, hi=0.5, iterations=3, exact=(1, 2))',
+        'Enclosure(lo=0.5, hi=0.5, iterations=3, exact=(1, 2))'),
+    (0.0, 1.4595928518309904, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.0, hi=0.0, iterations=1, exact=(0, 1))',
+        'Enclosure(lo=0.0, hi=0.0, iterations=1, exact=(0, 1))'),
+    (0.5, 1.6212743781782102, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.5, hi=0.5, iterations=48, exact=(1, 2))',
+        'Enclosure(lo=0.5, hi=0.5, iterations=48, exact=(1, 2))'),
+    (1.0, 1.7309786809084104, 1e-06, 10_000_000): (
+        'Enclosure(lo=1.0, hi=1.0, iterations=1, exact=(1, 1))',
+        'Enclosure(lo=1.0, hi=1.0, iterations=1, exact=(1, 1))'),
+    (0.0938595867742349, 0.3130461871069582, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.07985193019566367, hi=0.07985257985257985, iterations=7663, exact=None)',
+        'Enclosure(lo=0.07985193019566367, hi=0.07985257985257985, iterations=7663, exact=None)'),
+    (0.8357651039198697, 0.5949563151929022, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.8637770897832817, hi=0.8637780548628429, iterations=10989, exact=None)',
+        'Enclosure(lo=0.8637770897832817, hi=0.8637780548628429, iterations=10989, exact=None)'),
+    (0.43276706790505337, 0.4779551191140172, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.4313487241798299, hi=0.4313494401885681, iterations=6121, exact=None)',
+        'Enclosure(lo=0.4313487241798299, hi=0.4313494401885681, iterations=6121, exact=None)'),
+    (0.762280082457942, 0.4180799059133742, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.7699859747545582, hi=0.7699868938401049, iterations=5459, exact=None)',
+        'Enclosure(lo=0.7699859747545582, hi=0.7699868938401049, iterations=5459, exact=None)'),
+    (0.7215400323407826, 0.5946229912615603, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.7336357744653272, hi=0.7336363636363636, iterations=5012, exact=None)',
+        'Enclosure(lo=0.7336357744653272, hi=0.7336363636363636, iterations=5012, exact=None)'),
+    (0.22876222127045265, 0.5311569419492401, 1e-06, 10_000_000): (
+        'Enclosure(lo=0.21531994395142456, hi=0.2153209109730849, iterations=7571, exact=None)',
+        'Enclosure(lo=0.21531994395142456, hi=0.2153209109730849, iterations=7571, exact=None)'),
+    (0.3, 1.8, 0.0001, 10_000_000): (
+        'Enclosure(lo=0.1, hi=0.1, iterations=2419, exact=(1, 10))',
+        'Enclosure(lo=0.2857142857142857, hi=0.2857142857142857, iterations=3338, exact=(2, 7))'),
+    (0.1234, 0.7, 1e-09, 1000): (
+        'Enclosure(lo=0.053811659192825115, hi=0.05384615384615385, iterations=692, exact=None)',
+        'Enclosure(lo=0.053811659192825115, hi=0.05384615384615385, iterations=692, exact=None)'),
+    (0.0, 0.0, 1e-06, 1000): (
+        'Enclosure(lo=-0.001001001001001001, hi=0.001001001001001001, iterations=1000, exact=None)',
+        'Enclosure(lo=-0.001001001001001001, hi=0.001001001001001001, iterations=1000, exact=None)'),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_INTERVALS))
+def test_rot_interval_pinned(case):
+    a, b, rot_tol, rot_max_iter = case
+    ri = rot_interval(FamilyParams(a, b), Config(rot_tol=rot_tol, rot_max_iter=rot_max_iter))
+    assert (repr(ri.lower), repr(ri.upper)) == PINNED_INTERVALS[case]
+
+
 @pytest.mark.parametrize("side", list(BoundSide))
 def test_disp_grid_equals_scalar_iterate(side):
     # the grid pass and golden refinement compare values from one arithmetic
