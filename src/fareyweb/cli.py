@@ -216,9 +216,15 @@ def _cmd_scan(args, cfg: Config) -> int:
             raise ValueError(f"scan_tol={cfg.scan_tol!r} needs 2/scan_tol map steps, "
                              f"more than rot_max_iter={cfg.rot_max_iter}")
         n = int(np.ceil(n))
-        up, low = (SINE.iterate_grid(a_vals, np.array(b_vals)[:, None], side, 0.0, n)
-                   for side in (BoundSide.UPPER, BoundSide.LOWER))
-        rows = np.maximum(0.0, up / n - low / n).tolist()
+        if min(b_vals) < 0:
+            raise ValueError(f"b must be non-negative, got {min(b_vals)!r}")
+        # up to the critical line both bounds are the map itself: width 0.0, no orbit
+        above = np.array(b_vals) > SINE.b_critical
+        sides = np.array([BoundSide.UPPER, BoundSide.LOWER], dtype=object)[:, None, None]
+        up, low = SINE.iterate_grid(a_vals, np.array(b_vals)[above, None], sides, 0.0, n)
+        width = np.zeros((ny, nx))
+        width[above] = np.maximum(0.0, up / n - low / n)
+        rows = width.tolist()
     else:
         frac = Frac.parse(frac_txt)
         value = {"locked": 1.0, "uncertain": 0.5, "not_locked": 0.0}

@@ -24,6 +24,10 @@ import numpy as np
 from .solvers import newton_root
 
 TWO_PI = 2.0 * math.pi
+#: An array pass of more than this many steps retires orbits that repeat exactly,
+#: looking for repeats from this step on; a shorter one, such as a displacement
+#: grid up to q = 64, would pay for the search and save few steps.
+REPEAT_WINDOW = 64
 
 
 class BoundSide(enum.Enum):
@@ -92,7 +96,10 @@ def _sine_landmarks(b: float) -> Landmarks:
 
 @lru_cache(maxsize=None)
 def _plateau(side: BoundSide, b: float) -> tuple[float, float, float]:
-    """(lo, hi, top) for b > 1: the bound is flat on [lo, hi] mod 1 at its value at top."""
+    """(lo, hi, top): the map is flat on [lo, hi] mod 1 at its value at top;
+    (inf, -inf) for a raw map and for any map up to the critical line."""
+    if side is BoundSide.RAW or b <= SineFamily.b_critical:
+        return math.inf, -math.inf, 0.0
     lm = _sine_landmarks(float(b))
     return (lm.k_minus, lm.k, lm.k) if side is BoundSide.LOWER else (lm.c, lm.c_plus, lm.c)
 
@@ -106,7 +113,10 @@ class SineFamily:
     point, and the compositions: every orbit runs either in the scalar loop of
     ``advance`` (``iterate`` from a start x, ``rotation`` from a stored orbit
     state) or in ``iterate_grid``, the one array pass, which matches it bit
-    for bit (``iterate_array`` is that pass at one parameter pair).
+    for bit (``iterate_array`` is that pass at one parameter pair).  An orbit
+    state is (t, carry), and t alone decides every later step, so an array
+    pass retires each orbit whose t repeats exactly and adds the carry of its
+    remaining whole periods in one product.
     ``iterate_slope`` is ``iterate``'s loop at float a and b with the
     a-derivative carried along, for the Newton solves on strands and tongue
     boundaries; it is a separate loop so that ``iterate`` carries no flag.
@@ -232,36 +242,56 @@ class SineFamily:
         """Vectorized n-fold composition over a batch of starting points."""
         return self.iterate_grid(params.a, params.b, side, xs, n)
 
-    def iterate_grid(self, a, b, side: BoundSide, xs, n: int) -> np.ndarray:
-        """n-fold composition over arrays of a, b and starts that broadcast.
+    def iterate_grid(self, a, b, side: BoundSide | np.ndarray, xs, n: int) -> np.ndarray:
+        """n-fold composition over arrays of a, b, sides and starts that broadcast.
 
         This is the library's one array orbit pass.  Each element equals
         ``iterate(FamilyParams(a, b), side, x, n)`` bit for bit: every step
         does the scalar loop's arithmetic in the same order, with the plateau
-        edges and flat value looked up once per element of b.
+        edges and flat value looked up once per element of (side, b).
+
+        The reduced argument t is an element's whole state: a step reads only
+        t and the parameters, and the carry only adds integer-valued floats,
+        which is exact below 2^53.  So once t repeats exactly, the orbit is
+        periodic from there bit for bit.  A pass of more than
+        ``REPEAT_WINDOW`` steps keeps Brent checkpoints of (t, carry) at steps
+        W, 2W, 4W, ... (R. P. Brent, BIT 20, 1980); an element whose t meets
+        its checkpoint after P steps with carry gain G retires at the first
+        step j with (n - j) % P == 0 as (carry + (n - j) // P * G) + t; once a
+        quarter of the elements has retired, the others are compacted.  A pass
+        whose carries could reach 2^53 runs every step.
         """
         if n < 1:
             raise ValueError("n must be positive")
         a, b, xs = (np.asarray(v, dtype=float) for v in (a, b, xs))
         if b.min(initial=0.0) < 0:
             raise ValueError(f"b must be non-negative, got {b.min()}")
-        shape = np.broadcast(a, b, xs).shape
+        sides = None if isinstance(side, BoundSide) else np.asarray(side, dtype=object)
+        shape = np.broadcast(a, b, xs, *([] if sides is None else [sides])).shape
         # array parameters take the full shape, so each step is one contiguous loop
         a, b = (v if v.ndim == 0 else np.broadcast_to(v, shape).copy() for v in (a, b))
+        if sides is not None:  # stacked sides: each element of b gets its side's plateau
+            b, sides = np.broadcast_to(b, shape), np.broadcast_to(sides, shape).ravel().tolist()
         amp = b / TWO_PI
         t = np.subtract(xs, np.floor(xs), out=np.empty(shape))
         carry = xs - t
         # the map takes the value flat on [lo_edge, hi_edge]; raw maps have no plateau
-        plateau = side is not BoundSide.RAW and b.max(initial=0.0) > self.b_critical
+        lo_edge, hi_edge, flat = np.inf, -np.inf, 0.0
+        plateau = ((sides is not None or side is not BoundSide.RAW)
+                   and b.max(initial=0.0) > self.b_critical)
         if plateau:
-            edges = [_plateau(side, bv) if bv > self.b_critical else (np.inf, -np.inf, 0.0)
-                     for bv in b.ravel().tolist()]
+            edges = ([_plateau(side, bv) for bv in b.ravel().tolist()] if sides is None else
+                     [_plateau(s, bv) for s, bv in zip(sides, b.ravel().tolist())])
             lo_edge, hi_edge, top = (edges[0] if b.ndim == 0 else
                                      (np.reshape(col, b.shape) for col in zip(*edges)))
             flat = top + a + amp * np.sin(TWO_PI * top)
             on_flat, below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
         v, step = np.empty(shape), np.empty(shape)
-        for _ in range(n):
+        # a long pass looks for repeats from step `watch` on, if every carry
+        # stays below 2^53 in magnitude, so that carry sums are exact
+        watch = REPEAT_WINDOW if n > REPEAT_WINDOW and (np.abs(xs).max(initial=0.0) + n * (
+            4.0 + np.abs(a).max(initial=0.0) + amp.max(initial=0.0))) < 2.0 ** 53 else n + 1
+        for j in range(1, n + 1):
             np.multiply(TWO_PI, t, out=step)
             np.sin(step, out=step)
             np.multiply(amp, step, out=step)
@@ -278,8 +308,44 @@ class SineFamily:
                 wrap = t >= 1.0
                 t[wrap] -= 1.0
                 carry[wrap] += 1.0
+            if j < watch:
+                continue
+            if j == watch:
+                ck_t, ck_carry, mark = t.copy(), carry.copy(), j
+                # per element: its due step (-1 once retired), carry gain and flat index
+                due, gain = np.full(shape, np.inf), np.empty(shape)
+                idx, hit = np.arange(t.size).reshape(shape), np.empty(shape, dtype=bool)
+                out, dues, retired = np.empty(t.size), set(), 0
+            elif np.equal(t, ck_t, out=hit).any():
+                hit &= due == np.inf  # a retired orbit still steps until compacted
+                period = j - mark
+                end = j + (n - j) % period
+                due[hit] = end
+                gain[hit] = (n - end) // period * (carry[hit] - ck_carry[hit])
+                dues.add(end)
+            if j in dues:
+                done = due == j
+                out[idx[done]] = (carry[done] + gain[done]) + t[done]
+                due[done] = -1.0
+                retired += np.count_nonzero(done)
+            if 4 * retired >= t.size:  # compact once a quarter has retired, or none is left
+                keep = due != -1.0
+                (t, carry, a, amp, lo_edge, hi_edge, flat, ck_t, ck_carry, due, gain, idx) = (
+                    np.broadcast_to(col, keep.shape)[keep] for col in
+                    (t, carry, a, amp, lo_edge, hi_edge, flat, ck_t, ck_carry, due, gain, idx))
+                v, step, on_flat, below, hit = (np.empty(t.size, dtype=dt)
+                                                for dt in (float, float, bool, bool, bool))
+                retired = 0
+                if t.size == 0:
+                    break
+            if j == 2 * mark:
+                ck_t[...], ck_carry[...] = t, carry
+                mark = j
         carry += t
-        return carry
+        if watch > n:
+            return carry
+        out[idx] = carry
+        return out.reshape(shape)
 
 
 #: Shared instance of the shipped family.

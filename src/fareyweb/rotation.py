@@ -6,7 +6,11 @@ number rho:
 * an orbit: the displacement d = F^n(x) - x of any single orbit pins rho
   inside [(d - 1)/n, (d + 1)/n], so n iterations give an enclosure of width
   2/n (the width rasters of ``fareyweb scan``, and the end of a Farey
-  descent at a tie that no sign test certifies);
+  descent at a tie that no sign test certifies).  A float orbit whose
+  reduced state repeats, as a locked bound's orbit does once it lands on
+  the plateau, is exactly periodic from then on: a long ``iterate_grid``
+  pass finds the repeat and adds the remaining whole periods at once, bit
+  for bit the full orbit;
 * a Farey test: F^q(0) >= p implies rho >= p/q and F^q(0) <= p implies
   rho <= p/q; it reads a q-step prefix of the orbit of 0;
 * a cell bound: for non-decreasing F, g = F^q(x) - x - p obeys

@@ -307,6 +307,17 @@ def test_width_raster_refuses_a_scan_tol_it_cannot_apply(tmp_path, capsys):
     assert "rot_max_iter=10000000" in capsys.readouterr().err
 
 
+def test_width_raster_refusals_hold_without_orbits(tmp_path, capsys):
+    # rows up to the critical line run no orbit, yet every refusal stands
+    out = str(tmp_path / "width.csv")
+    for args, needle in ((["--b", "-1:-0.5:2"], "b must be non-negative, got -1.0"),
+                         (["--b", "-1:2:4"], "b must be non-negative, got -1.0"),
+                         (["--b", "4:5:2"], "family out of range"),
+                         (["--set", "rot_max_iter=100", "--b", "0:1:2"], "rot_max_iter=100")):
+        argv = [*args[:-2], "scan", "--a", "0:1:2", *args[-2:], "--out", out]
+        assert cli.main(argv) == 1, args
+        assert needle in capsys.readouterr().err, args
+
 def test_scan_pgm_header():
     out = run_cli("scan", "--a", "0:0.5:4", "--b", "1.0:1.2:2", "--mode", "width",
                   "--format", "pgm").stdout
@@ -414,6 +425,9 @@ GOLDEN = [
      "134fa0339fd7c47c60be69b90f8b0e1f07ffb54e8aae19a4fffa4a0ea9415417"),
     (["scan", "--a", "0:0.5:4", "--b", "1.0:1.2:3", "--mode", "width", "--format", "pgm"],
      "34fca028e3d5c8cbd9656a4945048be658f775064fb39079a230e6c897078385"),
+    # rows below, on and above the critical line, from a negative a
+    (["scan", "--a=-0.5:1.5:24", "--b", "0:3:25", "--mode", "width"],
+     "6f7e614dec23780824ff139118f1f6ee137041191379b495e4332622225d1975"),
     (["verify", "--suite", "fact9_tangency", "--json"],
      "18f1a5c235de5c17734a725aac15e9f17e24006e8cf9f4b57366afe28fcc08ad"),
     (["construct", "--stages", "3", "--format", "svg"],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fareyweb import lift
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams, _sine_landmarks
 
 
@@ -254,6 +255,103 @@ def test_iterate_grid_equals_scalar_iterate():
                     (side, n, i, j)
     with pytest.raises(ValueError):
         SINE.iterate_grid(0.0, -1.0, BoundSide.LOWER, 0.0, 3)
+
+
+def _first_repeat(params, side, x, n):
+    """(step, period) at which the Brent checkpoints of ``iterate_grid`` see
+    the orbit of x repeat, or None: the scalar loop one step at a time."""
+    t = x - math.floor(x)
+    state, mark = (t, x - t), None
+    for j in range(1, n + 1):
+        state = SINE.advance(params, side, state, 1)
+        if mark is not None and state[0] == checkpoint:
+            return j, j - mark
+        if j == lift.REPEAT_WINDOW or j == 2 * (mark or 0):
+            checkpoint, mark = state[0], j
+    return None
+
+
+def _assert_scalar(grid, a, b, sides, xs, n):
+    a, b, sides, xs = np.broadcast_arrays(a, b, sides, xs)
+    assert grid.shape == a.shape
+    for i in np.ndindex(grid.shape):
+        params = FamilyParams(float(a[i]), float(b[i]))
+        want = SINE.iterate(params, sides[i], float(xs[i]), n)
+        assert repr(float(grid[i])) == repr(want), (params, sides[i], float(xs[i]), n)
+
+
+SIDES = np.array(list(BoundSide), dtype=object)[:, None, None]
+
+
+@pytest.mark.parametrize("n, count", [(2000, 10), (10_000, 4)])
+def test_long_grid_passes_equal_scalar_iterate(n, count):
+    # stacked sides, and a and b per element: rows below and on the critical
+    # line, just above it and up to b = 3; the locked orbits repeat and retire,
+    # the unlocked ones run all n steps
+    rng = np.random.default_rng(n)
+    b = np.array([0.0, 0.5, 1.0, 1.0 + 1e-9, 1.05, 1.5, 2.2, 3.0])[:, None]
+    a = rng.uniform(-1.0, 2.0, (8, count))
+    xs = rng.uniform(-3.0, 3.0, (3, 8, count))
+    grid = SINE.iterate_grid(a, b, SIDES, xs, n)
+    _assert_scalar(grid, a, b, SIDES, xs, n)
+    repeats = [_first_repeat(FamilyParams(float(a[i, j]), float(b[i, 0])), SIDES[s, 0, 0],
+                             float(xs[s, i, j]), n) for s, i, j in np.ndindex(grid.shape)]
+    assert 0 < sum(r is not None for r in repeats) < len(repeats)
+
+
+def test_retiring_on_the_last_step_and_on_whole_periods():
+    # (a, b, side) -> (step, period) of the first repeat of the orbit of 0
+    cases = {(0.33, 1.8, BoundSide.LOWER): (75, 11), (0.4, 2.5, BoundSide.LOWER): (87, 23),
+             (1 / 3, 1.5, BoundSide.UPPER): (67, 3), (0.5, 1.5, BoundSide.LOWER): (66, 2),
+             (0.2, 1.05, BoundSide.LOWER): (223, 95)}  # the last one at the second checkpoint
+    for (a, b, side), (step, period) in cases.items():
+        params = FamilyParams(a, b)
+        assert _first_repeat(params, side, 0.0, 300) == (step, period)
+        # found on the last step; n - step a whole number of periods; and not
+        for n in (step, step + 181 * period, step + 181 * period + 1, 2000):
+            grid = SINE.iterate_grid(np.array([a, a + 1.0]), b, side, 0.0, n)
+            assert [repr(float(v)) for v in grid] == [
+                repr(SINE.iterate(FamilyParams(a + k, b), side, 0.0, n)) for k in (0.0, 1.0)], \
+                (a, b, side, n)
+
+
+def test_grid_passes_on_empty_arrays():
+    for n in (3, 2000):
+        assert SINE.iterate_grid(np.empty((0, 4)), 1.5, BoundSide.LOWER, 0.0, n).shape == (0, 4)
+        assert SINE.iterate_grid(0.3, np.empty((0, 1)), SIDES, 0.0, n).shape == (3, 0, 1)
+
+
+class _CountEqual:
+    """numpy with a counter on ``equal``, the repeat test of ``iterate_grid``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def equal(self, *args, **kwargs):
+        self.calls += 1
+        return np.equal(*args, **kwargs)
+
+
+def test_repeat_search_only_in_long_passes(monkeypatch):
+    spy = _CountEqual()
+    monkeypatch.setattr(lift, "np", spy)
+    a = np.array([0.5, 0.05, 0.33])  # lower bound locked at 1/2, 0/1 and 2/11
+    for n in (1, 7, lift.REPEAT_WINDOW):
+        grid = SINE.iterate_grid(a, 1.8, BoundSide.LOWER, 0.0, n)
+        _assert_scalar(grid, a, 1.8, BoundSide.LOWER, 0.0, n)
+    assert spy.calls == 0
+    # every orbit retires within a few checkpoints, and the pass stops there
+    grid = SINE.iterate_grid(a, 1.8, BoundSide.LOWER, 0.0, 2000)
+    _assert_scalar(grid, a, 1.8, BoundSide.LOWER, 0.0, 2000)
+    assert 0 < spy.calls < 100
+    # carries that could pass 2^53 are added step by step
+    spy.calls = 0
+    grid = SINE.iterate_grid(np.array([1e13]), 1.8, BoundSide.LOWER, 0.0, 2000)
+    _assert_scalar(grid, np.array([1e13]), 1.8, BoundSide.LOWER, 0.0, 2000)
+    assert spy.calls == 0
 
 
 def test_iterate_long_orbit_stays_reduced():
