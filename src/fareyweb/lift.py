@@ -248,7 +248,7 @@ class SineFamily:
         This is the library's one array orbit pass.  Each element equals
         ``iterate(FamilyParams(a, b), side, x, n)`` bit for bit: every step
         does the scalar loop's arithmetic in the same order, with the plateau
-        edges and flat value looked up once per element of (side, b).
+        edges looked up once per element of (side, b) before they broadcast.
 
         The reduced argument t is an element's whole state: a step reads only
         t and the parameters, and the carry only adds integer-valued floats,
@@ -268,22 +268,21 @@ class SineFamily:
             raise ValueError(f"b must be non-negative, got {b.min()}")
         sides = None if isinstance(side, BoundSide) else np.asarray(side, dtype=object)
         shape = np.broadcast(a, b, xs, *([] if sides is None else [sides])).shape
-        # array parameters take the full shape, so each step is one contiguous loop
-        a, b = (v if v.ndim == 0 else np.broadcast_to(v, shape).copy() for v in (a, b))
-        if sides is not None:  # stacked sides: each element of b gets its side's plateau
-            b, sides = np.broadcast_to(b, shape), np.broadcast_to(sides, shape).ravel().tolist()
-        amp = b / TWO_PI
-        t = np.subtract(xs, np.floor(xs), out=np.empty(shape))
-        carry = xs - t
         # the map takes the value flat on [lo_edge, hi_edge]; raw maps have no plateau
         lo_edge, hi_edge, flat = np.inf, -np.inf, 0.0
         plateau = ((sides is not None or side is not BoundSide.RAW)
                    and b.max(initial=0.0) > self.b_critical)
+        if plateau:  # the plateau varies only along the axes of (side, b): one lookup a pair
+            pairs = np.broadcast(b, side if sides is None else sides)
+            edges = [_plateau(s, float(bv)) for bv, s in pairs]
+            lo_edge, hi_edge, top = (edges[0] if pairs.ndim == 0 else
+                                     (np.reshape(col, pairs.shape) for col in zip(*edges)))
+        # array parameters take the full shape, so each step is one contiguous loop
+        a, b = (v if v.ndim == 0 else np.broadcast_to(v, shape).copy() for v in (a, b))
+        amp = b / TWO_PI
+        t = np.subtract(xs, np.floor(xs), out=np.empty(shape))
+        carry = xs - t
         if plateau:
-            edges = ([_plateau(side, bv) for bv in b.ravel().tolist()] if sides is None else
-                     [_plateau(s, bv) for s, bv in zip(sides, b.ravel().tolist())])
-            lo_edge, hi_edge, top = (edges[0] if b.ndim == 0 else
-                                     (np.reshape(col, b.shape) for col in zip(*edges)))
             flat = top + a + amp * np.sin(TWO_PI * top)
             on_flat, below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
         v, step = np.empty(shape), np.empty(shape)

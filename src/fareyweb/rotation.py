@@ -1,6 +1,6 @@
 """Certified rotation numbers and rotation intervals.
 
-For a non-decreasing degree-one lift F three certificates bound the rotation
+For a non-decreasing degree-one lift F four certificates bound the rotation
 number rho:
 
 * an orbit: the displacement d = F^n(x) - x of any single orbit pins rho
@@ -15,7 +15,18 @@ number rho:
   rho <= p/q; it reads a q-step prefix of the orbit of 0;
 * a cell bound: for non-decreasing F, g = F^q(x) - x - p obeys
   g(x_i) - h <= g <= g(x_i + h) + h on each grid cell of width h, so one grid
-  pass encloses both extrema of g (a first-order interval enclosure).
+  pass encloses both extrema of g (a first-order interval enclosure);
+* a corner orbit: above the critical line the lower bound L is flat on
+  [k_minus, k] and the upper bound U on [c, c_plus].  Let
+  D_j = B^{jq}(x0) - x0 - jp, from x0 = k_minus for L and c_plus for U.
+  Were g_L < 0 everywhere, every D_j would be, so D_j >= 0 gives
+  max g_L >= 0; any orbit obeys |B^n(x) - x - n rho(B)| <= 1 (Rhodes &
+  Thompson, 1986), so D_j < -1 gives rho(L) < p/q.  Mirrored, D_j <= 0
+  gives min g_U <= 0 and D_j > 1 gives rho(U) > p/q.  A tie band
+  ROUND_BAND * j * (q + |p|) covers the rounding of the jq steps.  L^q is
+  constant on the plateau, so g_L(k) = g_L(k_minus) - (k - k_minus), and
+  0 < g_L(k_minus) < k - k_minus beyond a margin is a strict straddle of
+  g_L from one q-step orbit; mirrored, so is -(c_plus - c) < g_U(c_plus) < 0.
 
 The rotation interval of the family map runs from the rotation number of its
 lower monotone bound to that of its upper one.  ``rot_interval`` encloses each
@@ -172,15 +183,44 @@ def displacement_extrema(params: FamilyParams, side: BoundSide, frac: Frac,
     return _disp_extremum(params, side, p, frac.q, "both", SINE, num.grid)
 
 
+def _corner(side: BoundSide, b: float) -> tuple[float, float, float]:
+    """(x0, s, w) above the critical line: the corner whose orbit decides the bound,
+    the sign that turns its verdicts into the lower bound's, the plateau width."""
+    lm = SINE.landmarks(b)
+    return ((lm.k_minus, 1.0, lm.k - lm.k_minus) if side is BoundSide.LOWER
+            else (lm.c_plus, -1.0, lm.c_plus - lm.c))
+
+
+def _corner_orbit(side: BoundSide, p: int, q: int, b: float, num: Config):
+    """The corner-orbit test (module docstring) at height b: a function of the
+    ``FamilyParams`` that returns D_j once it certifies a sign, else None after
+    (grid_base + grid_per_q * q) // STRIDE cycles, about a coarse grid pass."""
+    x0, s, _ = _corner(side, b)
+    cycles = (num.grid_base + num.grid_per_q * q) // STRIDE
+
+    def test(params: FamilyParams) -> float | None:
+        y = x0
+        for j in range(1, cycles + 1):
+            y = SINE.iterate(params, side, y, q) - p  # stays near x0, so p costs no bits
+            d, tie = y - x0, ROUND_BAND * j * (q + abs(p))
+            if s * d > tie or s * d < -1.0 - tie:
+                return d
+        return None
+
+    return test
+
+
 def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
                 num: Config = DEFAULT) -> LockStatus:
     """Exact-rational lock test by displacement signs.
 
     Locked means the lower bound still reaches x + p somewhere (its max
     displacement is >= 0) while the upper bound still dips to x + p (its min
-    is <= 0); ties at zero count as locked.  Verdicts inside the band
-    ``LOCK_BAND`` around zero are reported as uncertain.  Up to the critical
-    line both bounds are the map itself, and one grid pass gives both extrema.
+    is <= 0); ties at zero count as locked.  Above the critical line the two
+    corner orbits, lower first, decide almost every cell by certified signs.
+    Grid verdicts inside the band ``LOCK_BAND`` around zero are reported as
+    uncertain.  Up to the critical line both bounds are the map itself, and
+    one grid pass gives both extrema.
     """
     _check_cap(frac, num)
     p = frac.p + offset * frac.q
@@ -189,6 +229,14 @@ def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
                              band=LOCK_BAND)
         max_low, min_up = ext.maximum, ext.minimum
     else:
+        low = _corner_orbit(BoundSide.LOWER, p, frac.q, params.b, num)(params)
+        if low is not None and low < 0.0:  # rho(L) < p/q
+            return LockStatus("not_locked")
+        up = _corner_orbit(BoundSide.UPPER, p, frac.q, params.b, num)(params)
+        if up is not None and up > 0.0:  # rho(U) > p/q
+            return LockStatus("not_locked")
+        if low is not None and up is not None:
+            return LockStatus("locked", frac)
         max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", SINE,
                                     num.grid, band=LOCK_BAND)
         if max_low <= -LOCK_BAND:  # the lower bound alone rules the lock out
@@ -208,9 +256,16 @@ def _try_snap(params: FamilyParams, side: BoundSide, p: int, q: int,
 
     Requires a strict two-sided sign straddle of the q-step displacement: the
     displacement then has a zero, a periodic orbit of type p/q, so a rational
-    is never reported on proximity alone.
+    is never reported on proximity alone.  Above the critical line one q-step
+    corner orbit (module docstring) is tried before the grid pass.
     """
     margin = 1e-12
+    if params.b > SINE.b_critical:
+        x0, s, w = _corner(side, params.b)
+        d = s * (SINE.iterate(params, side, x0, q) - x0 - p)
+        edge = margin + ROUND_BAND * (q + abs(p))
+        if d >= edge and d - w <= -edge:
+            return p, q
     ext = _disp_extremum(params, side, p, q, "both", SINE, num.grid, band=margin)
     if ext.minimum <= -margin and ext.maximum >= margin:
         return p, q

@@ -21,14 +21,10 @@ locking component.  From the critical line up the width search reads each
 sign from the orbit of a plateau corner, where the extremum usually sits (on
 the critical line both corners are the turning point 1/2).  Both bounds are
 non-decreasing degree-one maps, so max g_L >= 0 iff rho(L) >= p/q and
-min g_U <= 0 iff rho(U) <= p/q, and any orbit has
-|B^n(x) - x - n rho(B)| <= 1 (Rhodes & Thompson, 1986).  With
-D_j = B^{jq}(x0) - x0 - jp, from x0 = k_minus for L and c_plus for U:
-D_j >= 0 gives max g_L >= 0 (were g_L < 0 everywhere, every D_j would be),
-and D_j < -1 gives rho(L) < p/q; mirrored, D_j <= 0 gives min g_U <= 0 and
-D_j > 1 gives rho(U) > p/q.  A tie band on D_j covers the rounding of the jq
-steps; a corner orbit that decides nothing within a grid's worth of cycles
-hands the sign to the displacement grid.
+min g_U <= 0 iff rho(U) <= p/q, and the D_j test of the corner orbit
+certifies each sign (``rotation._corner_orbit``; the facts are in the
+``rotation`` module docstring).  A corner orbit that decides nothing within
+a grid's worth of cycles hands the sign to the displacement grid.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ from .config import DEFAULT, Config, cached
 from .errors import ConsistencyError, TipNotFoundError
 from .farey import Frac
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
-from .rotation import ROUND_BAND, STRIDE, _check_cap, _disp_extremum
+from .rotation import _check_cap, _corner_orbit, _disp_extremum
 from .solvers import bisect_root, newton_root, root_order
 
 #: objective -> (map side, which extremum of the displacement must vanish)
@@ -120,27 +116,14 @@ def _objective(kind: str, frac: Frac, b: float, num: Config):
 
 
 def _orbit_objective(kind: str, frac: Frac, b: float, num: Config):
-    """The sign of ``_objective`` of psi1 or psi2 at b >= 1, from the plateau-corner orbit.
-
-    Returns D_j once it certifies the sign (see the module docstring), and
-    the grid objective's value when no verdict comes within
-    (grid_base + grid_per_q * q) // STRIDE cycles.
-    """
+    """The sign of ``_objective`` of psi1 or psi2 at b >= 1: the corner orbit's D_j
+    (``rotation._corner_orbit``), or the grid objective's value when it decides none."""
     grid = _objective(kind, frac, b, num)
-    lm = SINE.landmarks(b)
-    side, x0, s = ((BoundSide.LOWER, lm.k_minus, 1.0) if kind == "psi1"
-                   else (BoundSide.UPPER, lm.c_plus, -1.0))
-    p, q = frac.p, frac.q
-    cycles = (num.grid_base + num.grid_per_q * q) // STRIDE
+    test = _corner_orbit(_OBJECTIVES[kind][0], frac.p, frac.q, b, num)
 
     def objective(a: float) -> float:
-        params, y = FamilyParams(a, b), x0
-        for j in range(1, cycles + 1):
-            y = SINE.iterate(params, side, y, q) - p  # stays near x0, so p costs no bits
-            d, tie = y - x0, ROUND_BAND * j * (q + abs(p))
-            if s * d > tie or s * d < -1.0 - tie:
-                return d
-        return grid(a)[0]
+        d = test(FamilyParams(a, b))
+        return grid(a)[0] if d is None else d
 
     return objective
 

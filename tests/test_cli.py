@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from fareyweb import cli, rotation, tongue
-from fareyweb.config import DEFAULT
 from fareyweb.farey import Frac
 from fareyweb.lift import SINE, BoundSide, FamilyParams
 
@@ -249,24 +248,36 @@ def test_scan_lock_half_matches_section_edges():
     assert idx == list(range(idx[0], idx[-1] + 1))
 
 
-def test_lock_raster_cells_decide_on_the_coarse_grid(tmp_path, monkeypatch):
-    # each cell is lock_status at the echoed config; the monotone bounds decide
-    # most cells from every STRIDE-th grid point, and the full grid runs only
-    # where an extremum lies within a coarse cell width of zero
-    sizes, cells = [], []
-    kernel, status = SINE.iterate_grid, cli.lock_status
-    monkeypatch.setattr(SINE, "iterate_grid",
-                        lambda a, b, side, xs, n: sizes.append(np.size(xs)) or
-                        kernel(a, b, side, xs, n))
+def test_lock_raster_cells_decide_on_corner_orbits(tmp_path, monkeypatch):
+    # each cell is lock_status at the echoed config; above the critical line
+    # the plateau-corner orbits decide the cells, and the grid runs only on the
+    # b = 1 row and for cells that a corner orbit leaves undecided
+    grid, undecided, cells = [], set(), []
+    extremum, corner, status = rotation._disp_extremum, rotation._corner_orbit, cli.lock_status
+
+    def corner_logged(*args):
+        test = corner(*args)
+
+        def logged(params):
+            d = test(params)
+            if d is None:
+                undecided.add(params)
+            return d
+
+        return logged
+
+    monkeypatch.setattr(rotation, "_disp_extremum", lambda params, *args, **kw:
+                        grid.append(params) or extremum(params, *args, **kw))
+    monkeypatch.setattr(rotation, "_corner_orbit", corner_logged)
     monkeypatch.setattr(cli, "lock_status", lambda *args, **kw: cells.append(args[0]) or
                         status(*args, **kw))
     c, out = 1 / 3, tmp_path / "lock.csv"
     assert cli.main(["scan", "--a", f"{c - 0.1!r}:{c + 0.1!r}:16", "--b", "1:2:16",
                      "--mode", "lock:1/3", "--out", str(out)]) == 0
     assert len(cells) == 256
-    coarse = len(range(0, DEFAULT.grid_base + 3 * DEFAULT.grid_per_q, rotation.STRIDE))
-    assert sizes.count(coarse) >= len(cells)
-    assert len(sizes) - sizes.count(coarse) <= 0.1 * len(cells)
+    assert all(params.b <= SINE.b_critical or params in undecided for params in grid)
+    assert len({params for params in grid if params.b <= SINE.b_critical}) == 16
+    assert len(undecided) <= 0.05 * len(cells)
     monkeypatch.undo()
     value = {"locked": 1.0, "uncertain": 0.5, "not_locked": 0.0}
     rows = [line.split(",") for line in out.read_text().splitlines()[2:]]

@@ -257,6 +257,23 @@ def test_iterate_grid_equals_scalar_iterate():
         SINE.iterate_grid(0.0, -1.0, BoundSide.LOWER, 0.0, 3)
 
 
+def test_plateau_looked_up_once_per_side_and_b(monkeypatch):
+    # the plateau varies only along the axes of (side, b); a and the starts
+    # broadcast over them without further lookups
+    calls, plateau = [], lift._plateau
+    monkeypatch.setattr(lift, "_plateau", lambda side, b: calls.append((side, b)) or
+                        plateau(side, b))
+    a, b = np.linspace(0.0, 1.0, 9), np.array([0.5, 1.5, 2.0])[:, None]
+    sides = np.array(list(BoundSide), dtype=object)[:, None, None]
+    stacked = SINE.iterate_grid(a, b, sides, 0.25, 7)
+    assert len(calls) == 9
+    one = SINE.iterate_grid(a, b, BoundSide.LOWER, 0.25, 7)
+    assert len(calls) == 12
+    monkeypatch.undo()
+    _assert_scalar(stacked, a, b, sides, 0.25, 7)
+    _assert_scalar(one, a, b, BoundSide.LOWER, 0.25, 7)
+
+
 def _first_repeat(params, side, x, n):
     """(step, period) at which the Brent checkpoints of ``iterate_grid`` see
     the orbit of x repeat, or None: the scalar loop one step at a time."""

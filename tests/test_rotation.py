@@ -286,12 +286,15 @@ def test_lock_status_one_pass_up_to_critical_line(monkeypatch):
 
 
 def test_lock_status_skips_the_upper_bound_when_the_lower_decides(monkeypatch):
-    calls = []
-    extremum = rotation._disp_extremum
+    calls, grid = [], []
+    corner, extremum = rotation._corner_orbit, rotation._disp_extremum
+    monkeypatch.setattr(rotation, "_corner_orbit",
+                        lambda *args: calls.append(args) or corner(*args))
     monkeypatch.setattr(rotation, "_disp_extremum",
-                        lambda *args, **kw: calls.append(args) or extremum(*args, **kw))
+                        lambda *args, **kw: grid.append(args) or extremum(*args, **kw))
     assert lock_status(FamilyParams(0.2, 1.5), Frac(1, 2)).state == "not_locked"
-    assert [args[1] for args in calls] == [BoundSide.LOWER]
+    # the lower corner orbit rules the lock out, so no grid pass runs
+    assert [args[0] for args in calls] == [BoundSide.LOWER] and grid == []
     monkeypatch.undo()
     states = set()
     for frac in (Frac(1, 2), Frac(2, 5)):
@@ -302,6 +305,53 @@ def test_lock_status_skips_the_upper_bound_when_the_lower_decides(monkeypatch):
                 assert state == _two_pass_lock_state(params, frac), (frac, a, b)
                 states.add(state)
     assert {"locked", "not_locked"} <= states
+
+
+@pytest.mark.parametrize("frac, a_lo, a_hi, b_lo, b_hi, centre", [
+    (Frac(3, 8), 0.3, 0.45, 1.02, 1.6, 0.389),
+    (Frac(2, 5), 0.3, 0.5, 1.05, 2.0, 0.408),
+])
+def test_corner_lock_verdicts_against_the_grid(monkeypatch, frac, a_lo, a_hi, b_lo, b_hi,
+                                               centre):
+    grid = []
+    extremum = rotation._disp_extremum
+    monkeypatch.setattr(rotation, "_disp_extremum",
+                        lambda *args, **kw: grid.append(args[0]) or extremum(*args, **kw))
+    # a 12x12 window, and a band of finer columns across its thin tongue
+    columns = np.union1d(np.linspace(a_lo, a_hi, 12), np.linspace(centre - 0.01, centre + 0.01, 9))
+    cells = [FamilyParams(float(a), float(b)) for b in np.linspace(b_lo, b_hi, 12)
+             for a in columns]
+    states = [lock_status(params, frac).state for params in cells]
+    decided = [params not in grid for params in cells]
+    monkeypatch.undo()
+    for params, state in zip(cells, states):
+        reference = _two_pass_lock_state(params, frac)
+        assert reference == "uncertain" or state == reference, (params, state, reference)
+    assert {"locked", "not_locked"} <= set(states)
+    assert sum(decided) >= 0.95 * len(cells)
+
+
+def test_corner_snaps_are_grid_straddles(monkeypatch):
+    # a grid pass that never certifies leaves only the corner test's snaps
+    extremum = rotation._disp_extremum
+    monkeypatch.setattr(rotation, "_disp_extremum",
+                        lambda *args, **kw: rotation.Extrema(0.0, 0.0, 0.0, 0.0))
+    fracs = [Frac(p, q) for q in range(1, 6) for p in range(q + 1) if math.gcd(p, q) == 1]
+    snaps = [(params, side, frac)
+             for a in (0.0, 0.5, 1.0, 0.3, 0.62)
+             for b in (1.1, 1.3, 1.5, 1.7, 1.9)
+             for params in [FamilyParams(a, b)]
+             for side in (BoundSide.LOWER, BoundSide.UPPER)
+             for frac in fracs
+             if rotation._try_snap(params, side, frac.p, frac.q, DEFAULT)]
+    monkeypatch.undo()
+    # the centres of the 0/1, 1/2 and 1/1 locking intervals snap on both sides
+    centres = {(params.a, params.b, side) for params, side, frac in snaps
+               if frac.value == params.a}
+    assert len(centres) == 3 * 5 * 2
+    for params, side, frac in snaps:
+        ext = extremum(params, side, frac.p, frac.q, "both", SINE, DEFAULT.grid)
+        assert ext.minimum <= -1e-12 and ext.maximum >= 1e-12, (params, side, frac, ext)
 
 
 def test_lock_status_interval_matches_analytic_edges():
