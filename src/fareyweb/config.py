@@ -20,7 +20,7 @@ from pathlib import Path
 @dataclass(frozen=True)
 class Config:
     rot_tol: float = 1e-6        # rotation-number enclosure target width
-    rot_max_iter: int = 10_000_000
+    rot_max_iter: int = 10_000_000  # map steps one rotation-number descent may run
     scan_tol: float = 1e-3       # coarser enclosure width for raster scans
     solver_tol: float = 1e-12    # root-bracket width in a
     b_tol: float = 1e-10         # bisection width in b (tips)

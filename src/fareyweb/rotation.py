@@ -31,17 +31,15 @@ number rho:
 The rotation interval of the family map runs from the rotation number of its
 lower monotone bound to that of its upper one.  ``rot_interval`` encloses each
 by a Stern-Brocot descent of Farey tests, which ends on a pair of certified
-Farey neighbours p/q < p'/q' with 1/(q q') <= rot_tol.  All its tests read
-prefixes of one orbit of 0, so each runs only the steps past the longest
-prefix computed before it, bit for bit a fresh orbit.  An exact rational
-comes only from a strict two-sided sign test of the q-step displacement
-(``_try_snap``), which finds a periodic orbit of type p/q.
+Farey neighbours p/q < p'/q' with 1/(q q') <= rot_tol.  The mediants it tests
+have growing q, so all its tests read one forward orbit of 0 as it runs.  An
+exact rational comes only from a strict two-sided sign test of the q-step
+displacement (``_try_snap``), which finds a periodic orbit of type p/q.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 
@@ -72,7 +70,7 @@ class Enclosure:
 
     lo: float
     hi: float
-    iterations: int = 0  # map steps its tests and orbit read (a descent runs fewer)
+    iterations: int = 0  # map steps run by the orbit its tests read
     exact: tuple[int, int] | None = None  # snapped rational (num, den), num signed
 
     def __post_init__(self):
@@ -194,14 +192,17 @@ def _corner(side: BoundSide, b: float) -> tuple[float, float, float]:
 def _corner_orbit(side: BoundSide, p: int, q: int, b: float, num: Config):
     """The corner-orbit test (module docstring) at height b: a function of the
     ``FamilyParams`` that returns D_j once it certifies a sign, else None after
-    (grid_base + grid_per_q * q) // STRIDE cycles, about a coarse grid pass."""
+    (grid_base + grid_per_q * q) // STRIDE cycles, about a coarse grid pass, or
+    as soon as a cycle maps the orbit onto itself."""
     x0, s, _ = _corner(side, b)
     cycles = (num.grid_base + num.grid_per_q * q) // STRIDE
 
     def test(params: FamilyParams) -> float | None:
         y = x0
         for j in range(1, cycles + 1):
-            y = SINE.iterate(params, side, y, q) - p  # stays near x0, so p costs no bits
+            y, last = SINE.iterate(params, side, y, q) - p, y  # near x0: p costs no bits
+            if y == last:  # every later D_j is D_{j-1}, and the tie only widens
+                return None
             d, tie = y - x0, ROUND_BAND * j * (q + abs(p))
             if s * d > tie or s * d < -1.0 - tie:
                 return d
@@ -275,118 +276,72 @@ def _try_snap(params: FamilyParams, side: BoundSide, p: int, q: int,
 def _descend(params: FamilyParams, side: BoundSide, num: Config) -> Enclosure:
     """Enclosure of the rotation number of one bound by Farey descent.
 
-    Every Farey test, F(0) and the closing orbit read a prefix of the orbit
-    of 0; ``orbit`` resumes the longest stored prefix no longer than q, bit
-    for bit a fresh orbit, so a gallop to node j with its bisection runs
-    about j q steps, not (2 + log j) j q.  ``spent`` charges the q steps a
-    test reads: the step budget, the snap decision and ``iterations`` do not
-    depend on the steps run.
-
-    Nodes are integer pairs (p, q).  From the integer bracket around F(0) each
-    run tests the nodes base + j * target (j = 1, 2, 4, ... then bisection on
-    j) until it leaves the bracket side it moves along; consecutive nodes of a
-    run are Farey neighbours.  The descent stops at width rot_tol or when the
-    next test would exceed rot_max_iter map steps.  A long run toward a node
-    of small q hands that node to ``_try_snap`` when the grid pass is cheaper
-    than the gallop it saves; so does a tie.  A tie that the sign test does not
-    certify ends the descent with one orbit of n >= 2/rot_tol steps: F^n(0)
-    lies strictly between integers p < p', so rho is in [p/n, p'/n], of width
-    at most 2/n.
+    Nodes are integer pairs (p, q).  From the integer bracket around F(0) the
+    descent tests the mediant of its bracket, a Stern-Brocot walk whose
+    bracket is always a pair of Farey neighbours.  Mediant q only grow, so
+    one forward orbit of 0 serves every test: it is carried to each
+    mediant's q, and its length n is the map steps run (``iterations``).
+    The descent stops at width rot_tol or before a mediant of q past
+    rot_max_iter.  The SNAP_RUN-th consecutive move toward one node hands
+    that node to ``_try_snap`` when the grid pass is cheaper than the steps
+    the run may still take; so does a tie.  A tie that the sign test does
+    not certify ends the descent by extending the orbit to n >= 2/rot_tol
+    steps (within rot_max_iter): F^n(0) lies strictly between integers
+    p < p', so rho is in [p/n, p'/n], of width at most 2/n.
     """
-    spent = 1
     tried = set()
-    lengths, states = [0], [(0.0, 0.0)]  # computed prefixes of the orbit of 0, ascending
+    state, n = (0.0, 0.0), 0
 
     def orbit(q: int) -> float:
-        i = bisect_right(lengths, q)
-        t, carry = SINE.advance(params, side, states[i - 1], q - lengths[i - 1])
-        lengths.insert(i, q)
-        states.insert(i, (t, carry))
-        return carry + t
-
-    def sign(p: int, q: int) -> int:
-        nonlocal spent
-        spent += q
-        g = orbit(q) - p
-        if abs(g) <= ROUND_BAND * (q + abs(p)):
-            return 0
-        return 1 if g > 0 else -1
+        # F^q(0) for q >= n: the orbit of 0 runs on, never restarts
+        nonlocal state, n
+        state, n = SINE.advance(params, side, state, q - n), q
+        return state[1] + state[0]
 
     def snapped(node) -> Enclosure | None:
         if node[1] > num.q_cap or node in tried:
             return None
         tried.add(node)
         hit = _try_snap(params, side, *node, num)
-        return None if hit is None else Enclosure(hit[0] / hit[1], hit[0] / hit[1], spent,
+        return None if hit is None else Enclosure(hit[0] / hit[1], hit[0] / hit[1], n,
                                                   exact=hit)
-
-    def narrow(lo, hi) -> bool:
-        return hi[0] * lo[1] - lo[0] * hi[1] <= num.rot_tol * (lo[1] * hi[1])
 
     def finish(lo, hi, tie=None) -> Enclosure:
         # a tie is the only candidate; otherwise the simplest rational in the
         # bracket, which is its endpoint of smaller q
-        hit = snapped(tie or min(lo, hi, key=lambda n: n[1]))
-        n = min(math.ceil(2.0 / num.rot_tol), num.rot_max_iter - spent)
-        if hit or tie is None or n < 1:
-            return hit or Enclosure(lo[0] / lo[1], hi[0] / hi[1], spent)
-        v = orbit(n)
+        hit = snapped(tie or min(lo, hi, key=lambda node: node[1]))
+        if hit or tie is None:
+            return hit or Enclosure(lo[0] / lo[1], hi[0] / hi[1], n)
+        v = orbit(max(n, min(math.ceil(2.0 / num.rot_tol), num.rot_max_iter)))
         band = ROUND_BAND * (n + abs(v))
         return Enclosure(max(lo[0] / lo[1], (math.ceil(v - band) - 1) / n),
-                         min(hi[0] / hi[1], (math.floor(v + band) + 1) / n), spent + n)
+                         min(hi[0] / hi[1], (math.floor(v + band) + 1) / n), n)
 
     v = orbit(1)
-    n = round(v)
-    if abs(v - n) <= ROUND_BAND * (1 + abs(n)):
-        return finish((n - 1, 1), (n + 1, 1), (n, 1))
+    k = round(v)
+    if abs(v - k) <= ROUND_BAND * (1 + abs(k)):
+        return finish((k - 1, 1), (k + 1, 1), (k, 1))
     lo, hi = (math.floor(v), 1), (math.floor(v) + 1, 1)
-    while not narrow(lo, hi):
+    run, up = 0, None
+    while hi[0] * lo[1] - lo[0] * hi[1] > num.rot_tol * (lo[1] * hi[1]):
         m = (lo[0] + hi[0], lo[1] + hi[1])
-        if spent + m[1] > num.rot_max_iter:
+        if m[1] > num.rot_max_iter:
             break
-        s = sign(*m)
-        if s == 0:
+        g = orbit(m[1]) - m[0]
+        if abs(g) <= ROUND_BAND * (m[1] + abs(m[0])):
             return finish(lo, hi, m)
-        lo, hi = (m, hi) if s > 0 else (lo, m)
-        # the run moves toward target while the sign repeats
-        up = s > 0
-        base, target = (lo, hi) if up else (hi, lo)
-        base = (base[0] - target[0], base[1] - target[1])
-
-        def node(j: int) -> tuple[int, int]:
-            return (base[0] + j * target[0], base[1] + j * target[1])
-
-        # the first j whose node and target are neighbours rot_tol apart
-        j_stop = max(1, math.ceil((1.0 / (num.rot_tol * target[1]) - base[1]) / target[1]))
-        while num.rot_tol * (node(j_stop)[1] * target[1]) < 1.0:
-            j_stop += 1
-        j_good, j_bad = 1, None
-        while not narrow(lo, hi):
-            if j_bad is None:
-                j = min(2 * j_good, j_stop)
-            elif j_bad - j_good > 1:
-                j = (j_good + j_bad) // 2
-            else:
-                break
-            c = node(j)
-            if spent + c[1] > num.rot_max_iter:
-                return finish(lo, hi)
-            s = sign(*c)
-            if s == 0:
-                return finish(lo, hi, c)
-            lo, hi = (c, hi) if s > 0 else (lo, c)
-            if (s > 0) != up:
-                j_bad = j
-                continue
-            j_good = j
-            if j_bad is None and j >= SNAP_RUN:
-                # a long run hints at a lock at target; without the sign test
-                # the gallop creeps toward it until rot_tol
-                saved = min(node(j_stop)[1], num.rot_max_iter - spent)
-                grid = num.grid_base + num.grid_per_q * target[1]
-                hit = GRID_STEP_COST * grid * target[1] < saved and snapped(target)
-                if hit:
-                    return hit
+        run = run + 1 if (g > 0) == up else 1
+        up = g > 0
+        lo, hi = (m, hi) if up else (lo, m)
+        if run == SNAP_RUN:
+            # a long run hints at a lock at target; without the sign test
+            # the walk creeps toward it until rot_tol
+            target = hi if up else lo
+            left = min(math.ceil(1.0 / (num.rot_tol * target[1])), num.rot_max_iter) - n
+            grid = num.grid_base + num.grid_per_q * target[1]
+            hit = GRID_STEP_COST * grid * target[1] < left and snapped(target)
+            if hit:
+                return hit
     return finish(lo, hi)
 
 
@@ -394,11 +349,10 @@ def rot_interval(params: FamilyParams, num: Config = DEFAULT) -> RotationInterva
     """Rotation interval [rho(lower bound), rho(upper bound)] of the family map.
 
     Each endpoint is enclosed by a Farey descent (``_descend``) to width
-    rot_tol within rot_max_iter map steps read; its Farey tests read prefixes
-    of one orbit of 0, which the descent extends rather than recomputes.  An
-    endpoint that ``_try_snap`` certifies to be a rational p/q is returned
-    exactly.  Up to the critical line both bounds are the map itself and one
-    descent serves both.
+    rot_tol within rot_max_iter map steps of one orbit of 0.  An endpoint
+    that ``_try_snap`` certifies to be a rational p/q is returned exactly.
+    Up to the critical line both bounds are the map itself and one descent
+    serves both.
     """
     lower = _descend(params, BoundSide.LOWER, num)
     if params.b <= SINE.b_critical:

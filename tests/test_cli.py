@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fareyweb import cli, rotation, tongue
+from fareyweb.config import load_config
 from fareyweb.farey import Frac
 from fareyweb.lift import SINE, BoundSide, FamilyParams
 
@@ -329,6 +330,20 @@ def test_width_raster_refusals_hold_without_orbits(tmp_path, capsys):
         assert cli.main(argv) == 1, args
         assert needle in capsys.readouterr().err, args
 
+def test_set_overrides_do_not_outlive_their_call(tmp_path):
+    # one parser serves every call in a process; what --set applied in one call
+    # is gone from the next call's "# config:" echo
+    out = tmp_path / "tongue.csv"
+    argv = ["tongue", "--frac", "0/1", "--b", "0:0:1", "--out", str(out)]
+    for sets, want in ((["rot_tol=0.001"], "rot_tol=0.001 "),
+                       (["q_cap=64"], "rot_tol=1e-06 "),
+                       ([], "q_cap=128 ")):
+        assert cli.main([arg for kv in sets for arg in ("--set", kv)] + argv) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == load_config(overrides=sets).header() and want in header, header
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_scan_pgm_header():
     out = run_cli("scan", "--a", "0:0.5:4", "--b", "1.0:1.2:2", "--mode", "width",
                   "--format", "pgm").stdout
@@ -421,7 +436,7 @@ def test_config_file_roundtrip(tmp_path):
 #: its digest here.
 GOLDEN = [
     (["--set", "rot_tol=1e-4", "rotnum", "--a", "0.3", "--b", "1.8"],
-     "2ec6b1631f18fcf4bd0e724abbd5e48a46475790d2dedd191e7350f5e277864c"),
+     "c251bb1def703ddbe7704a8a29c42aadb30cd5806a651243e4dc3dff45b330f4"),
     (["tongue", "--frac", "1/2", "--b", "1:1.5:3"],
      "a75401c66d4903edb94c7ec08ca03625c4f0a2bee02e26f949186afcdf02db30"),
     (["strand", "--frac", "3/8", "--side", "R", "--b", "1:2:5", "--method", "continued"],

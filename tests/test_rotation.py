@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,57 +142,56 @@ def test_tie_snaps_only_when_certified(monkeypatch):
     assert enc.iterations == 1000 and enc.contains(0.0) and tol < enc.width <= 2 / 999
 
 
-#: repr of (lower, upper) of rot_interval at (a, b, rot_tol, rot_max_iter), recorded
-#: when every Farey test ran a fresh orbit of 0: the twelve orbits-benchmark draws
-#: of seed 1, one b > 1 point at rot_tol 1e-4, and two points where rot_max_iter
-#: binds (the second ends on its closing orbit).  Resuming stored prefixes of the
-#: orbit must reproduce them exactly, step counts included.
+#: repr of (lower, upper) of rot_interval at (a, b, rot_tol, rot_max_iter): the
+#: twelve orbits-benchmark draws of seed 1, one b > 1 point at rot_tol 1e-4, and two
+#: points where rot_max_iter binds (the second ends on its closing orbit).  The
+#: descent must reproduce them exactly, step counts included.
 PINNED_INTERVALS = {
     (0.050180459637834594, 0.5671821220562006, 1e-06, 10_000_000): (
-        'Enclosure(lo=0.0, hi=0.0, iterations=20, exact=(0, 1))',
-        'Enclosure(lo=0.0, hi=0.0, iterations=20, exact=(0, 1))'),
+        'Enclosure(lo=0.0, hi=0.0, iterations=9, exact=(0, 1))',
+        'Enclosure(lo=0.0, hi=0.0, iterations=9, exact=(0, 1))'),
     (0.9449956651371225, 0.8818873094883071, 1e-06, 10_000_000): (
-        'Enclosure(lo=1.0, hi=1.0, iterations=20, exact=(1, 1))',
-        'Enclosure(lo=1.0, hi=1.0, iterations=20, exact=(1, 1))'),
+        'Enclosure(lo=1.0, hi=1.0, iterations=9, exact=(1, 1))',
+        'Enclosure(lo=1.0, hi=1.0, iterations=9, exact=(1, 1))'),
     (0.5, 0.7477175435459704, 1e-06, 10_000_000): (
-        'Enclosure(lo=0.5, hi=0.5, iterations=3, exact=(1, 2))',
-        'Enclosure(lo=0.5, hi=0.5, iterations=3, exact=(1, 2))'),
+        'Enclosure(lo=0.5, hi=0.5, iterations=2, exact=(1, 2))',
+        'Enclosure(lo=0.5, hi=0.5, iterations=2, exact=(1, 2))'),
     (0.0, 1.4595928518309904, 1e-06, 10_000_000): (
         'Enclosure(lo=0.0, hi=0.0, iterations=1, exact=(0, 1))',
         'Enclosure(lo=0.0, hi=0.0, iterations=1, exact=(0, 1))'),
     (0.5, 1.6212743781782102, 1e-06, 10_000_000): (
-        'Enclosure(lo=0.5, hi=0.5, iterations=48, exact=(1, 2))',
-        'Enclosure(lo=0.5, hi=0.5, iterations=48, exact=(1, 2))'),
+        'Enclosure(lo=0.5, hi=0.5, iterations=17, exact=(1, 2))',
+        'Enclosure(lo=0.5, hi=0.5, iterations=17, exact=(1, 2))'),
     (1.0, 1.7309786809084104, 1e-06, 10_000_000): (
         'Enclosure(lo=1.0, hi=1.0, iterations=1, exact=(1, 1))',
         'Enclosure(lo=1.0, hi=1.0, iterations=1, exact=(1, 1))'),
     (0.0938595867742349, 0.3130461871069582, 1e-06, 10_000_000): (
-        'Enclosure(lo=0.07985193019566367, hi=0.07985257985257985, iterations=7663, exact=None)',
-        'Enclosure(lo=0.07985193019566367, hi=0.07985257985257985, iterations=7663, exact=None)'),
+        'Enclosure(lo=0.07985193019566367, hi=0.07985257985257985, iterations=1891, exact=None)',
+        'Enclosure(lo=0.07985193019566367, hi=0.07985257985257985, iterations=1891, exact=None)'),
     (0.8357651039198697, 0.5949563151929022, 1e-06, 10_000_000): (
-        'Enclosure(lo=0.8637770897832817, hi=0.8637780548628429, iterations=10989, exact=None)',
-        'Enclosure(lo=0.8637770897832817, hi=0.8637780548628429, iterations=10989, exact=None)'),
+        'Enclosure(lo=0.8637770897832817, hi=0.8637780548628429, iterations=3208, exact=None)',
+        'Enclosure(lo=0.8637770897832817, hi=0.8637780548628429, iterations=3208, exact=None)'),
     (0.43276706790505337, 0.4779551191140172, 1e-06, 10_000_000): (
-        'Enclosure(lo=0.4313487241798299, hi=0.4313494401885681, iterations=6121, exact=None)',
-        'Enclosure(lo=0.4313487241798299, hi=0.4313494401885681, iterations=6121, exact=None)'),
+        'Enclosure(lo=0.4313487241798299, hi=0.4313494401885681, iterations=1697, exact=None)',
+        'Enclosure(lo=0.4313487241798299, hi=0.4313494401885681, iterations=1697, exact=None)'),
     (0.762280082457942, 0.4180799059133742, 1e-06, 10_000_000): (
-        'Enclosure(lo=0.7699859747545582, hi=0.7699868938401049, iterations=5459, exact=None)',
-        'Enclosure(lo=0.7699859747545582, hi=0.7699868938401049, iterations=5459, exact=None)'),
+        'Enclosure(lo=0.7699859747545582, hi=0.7699868938401049, iterations=1526, exact=None)',
+        'Enclosure(lo=0.7699859747545582, hi=0.7699868938401049, iterations=1526, exact=None)'),
     (0.7215400323407826, 0.5946229912615603, 1e-06, 10_000_000): (
-        'Enclosure(lo=0.7336357744653272, hi=0.7336363636363636, iterations=5012, exact=None)',
-        'Enclosure(lo=0.7336357744653272, hi=0.7336363636363636, iterations=5012, exact=None)'),
+        'Enclosure(lo=0.7336357744653272, hi=0.7336363636363636, iterations=1543, exact=None)',
+        'Enclosure(lo=0.7336357744653272, hi=0.7336363636363636, iterations=1543, exact=None)'),
     (0.22876222127045265, 0.5311569419492401, 1e-06, 10_000_000): (
-        'Enclosure(lo=0.21531994395142456, hi=0.2153209109730849, iterations=7571, exact=None)',
-        'Enclosure(lo=0.21531994395142456, hi=0.2153209109730849, iterations=7571, exact=None)'),
+        'Enclosure(lo=0.21531994395142456, hi=0.2153209109730849, iterations=2141, exact=None)',
+        'Enclosure(lo=0.21531994395142456, hi=0.2153209109730849, iterations=2141, exact=None)'),
     (0.3, 1.8, 0.0001, 10_000_000): (
-        'Enclosure(lo=0.1, hi=0.1, iterations=2419, exact=(1, 10))',
-        'Enclosure(lo=0.2857142857142857, hi=0.2857142857142857, iterations=3338, exact=(2, 7))'),
+        'Enclosure(lo=0.1, hi=0.1, iterations=1001, exact=(1, 10))',
+        'Enclosure(lo=0.2857142857142857, hi=0.2857142857142857, iterations=1432, exact=(2, 7))'),
     (0.1234, 0.7, 1e-09, 1000): (
-        'Enclosure(lo=0.053811659192825115, hi=0.05384615384615385, iterations=692, exact=None)',
-        'Enclosure(lo=0.053811659192825115, hi=0.05384615384615385, iterations=692, exact=None)'),
+        'Enclosure(lo=0.05381944444444445, hi=0.05382131324004306, iterations=929, exact=None)',
+        'Enclosure(lo=0.05381944444444445, hi=0.05382131324004306, iterations=929, exact=None)'),
     (0.0, 0.0, 1e-06, 1000): (
-        'Enclosure(lo=-0.001001001001001001, hi=0.001001001001001001, iterations=1000, exact=None)',
-        'Enclosure(lo=-0.001001001001001001, hi=0.001001001001001001, iterations=1000, exact=None)'),
+        'Enclosure(lo=-0.001, hi=0.001, iterations=1000, exact=None)',
+        'Enclosure(lo=-0.001, hi=0.001, iterations=1000, exact=None)'),
 }
 
 
@@ -200,6 +200,84 @@ def test_rot_interval_pinned(case):
     a, b, rot_tol, rot_max_iter = case
     ri = rot_interval(FamilyParams(a, b), Config(rot_tol=rot_tol, rot_max_iter=rot_max_iter))
     assert (repr(ri.lower), repr(ri.upper)) == PINNED_INTERVALS[case]
+
+
+def _walk_recorder(monkeypatch):
+    """Log each (state, n, new state) that the descent asks ``SINE.advance`` for;
+    ``_try_snap``'s own orbits and grid passes are not logged."""
+    calls, snapping = [], []
+    advance, try_snap = SINE.advance, rotation._try_snap
+
+    def logged(params, side, state, n):
+        out = advance(params, side, state, n)
+        if not snapping:
+            calls.append((state, n, out))
+        return out
+
+    def snap(*args):
+        snapping.append(args)
+        try:
+            return try_snap(*args)
+        finally:
+            snapping.pop()
+
+    monkeypatch.setattr(SINE, "advance", logged)
+    monkeypatch.setattr(rotation, "_try_snap", snap)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(PINNED_INTERVALS))
+def test_iterations_are_the_steps_of_one_forward_orbit(monkeypatch, case):
+    a, b, rot_tol, rot_max_iter = case
+    num = Config(rot_tol=rot_tol, rot_max_iter=rot_max_iter)
+    calls = _walk_recorder(monkeypatch)
+    for side in (BoundSide.LOWER, BoundSide.UPPER):
+        calls.clear()
+        enc = rotation._descend(FamilyParams(a, b), side, num)
+        # every piece resumes where the last one stopped: the orbit of 0 never restarts
+        assert calls[0][0] == (0.0, 0.0)
+        assert all(nxt[0] == prev[2] for prev, nxt in zip(calls, calls[1:]))
+        assert enc.iterations == sum(n for _, n, _ in calls) <= rot_max_iter
+
+
+def test_unsnapped_descents_end_on_farey_neighbours():
+    rng = np.random.default_rng(5)
+    budgets = [(1e-6, 10_000_000)] * 30 + [(1e-9, 300)] * 10
+    for rot_tol, rot_max_iter in budgets:
+        params = FamilyParams(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 3.5)))
+        ri = rot_interval(params, Config(rot_tol=rot_tol, rot_max_iter=rot_max_iter))
+        for enc in (ri.lower, ri.upper):
+            if enc.exact is not None:
+                continue
+            lo, hi = (Fraction(v).limit_denominator(10 ** 6) for v in (enc.lo, enc.hi))
+            assert (float(lo), float(hi)) == (enc.lo, enc.hi), (params, enc)
+            assert hi.numerator * lo.denominator - lo.numerator * hi.denominator == 1
+            # wider than rot_tol only when the next mediant would pass the budget
+            assert (enc.width <= rot_tol * (1 + 1e-9)
+                    or lo.denominator + hi.denominator > rot_max_iter), (params, enc)
+
+
+@pytest.mark.parametrize("a, b, exact, steps", [
+    (0.05, 0.57, (0, 1), 1 + 8 * 1),   # from 1/1
+    (0.34, 0.9, (1, 3), 2 + 8 * 3),    # from 1/2
+    (0.66, 0.9, (2, 3), 2 + 8 * 3),    # from 1/2
+    (0.25, 0.99, (1, 5), 4 + 8 * 5),   # from 1/4
+])
+def test_a_run_toward_a_locked_node_snaps_it(monkeypatch, a, b, exact, steps):
+    params, num = FamilyParams(a, b), Config(rot_tol=1e-5)
+    assert lock_status(params, Frac(*exact)).state == "locked"
+    tried = []
+    try_snap = rotation._try_snap
+    monkeypatch.setattr(rotation, "_try_snap",
+                        lambda *args: tried.append(args[2:4]) or try_snap(*args))
+    enc = rotation._descend(params, BoundSide.LOWER, num)
+    # the SNAP_RUN-th consecutive move toward the node hands it to the sign test
+    assert rotation.SNAP_RUN == 8 and tried == [exact]
+    assert enc.exact == exact and enc.iterations == steps
+    # without the hand-over the walk creeps toward it until rot_tol
+    monkeypatch.setattr(rotation, "SNAP_RUN", 10 ** 9)
+    enc = rotation._descend(params, BoundSide.LOWER, num)
+    assert enc.exact == exact and enc.iterations * exact[1] >= 1 / num.rot_tol
 
 
 @pytest.mark.parametrize("side", list(BoundSide))

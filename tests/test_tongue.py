@@ -425,6 +425,32 @@ def test_orbit_objective_decides_from_the_critical_line_up(monkeypatch):
                 assert made == (1 if (b, a) == (1.0, 0.5) else 0), (b, kind, a)
 
 
+def test_undecided_corner_orbits_stop_once_they_repeat(monkeypatch):
+    # a cold 1/2 width tip leaves two corner orbits undecided, at the centre of
+    # the tongue on the critical line, where the corner 1/2 is a 2-cycle: the
+    # first q-cycle maps the orbit onto itself, so it stops there instead of
+    # running all (grid_base + grid_per_q * q) // STRIDE = 320 cycles
+    steps, undecided = [], []
+    iterate, corner = SINE.iterate, tongue._corner_orbit
+    monkeypatch.setattr(SINE, "iterate", lambda *args: steps.append(args) or iterate(*args))
+
+    def counted(*args):
+        test = corner(*args)
+
+        def run(params):
+            start = len(steps)
+            d = test(params)
+            if d is None:
+                undecided.append((params, len(steps) - start))
+            return d
+        return run
+
+    monkeypatch.setattr(tongue, "_corner_orbit", counted)
+    tip = tip_by_width.__wrapped__(HALF)  # bypasses the cache
+    assert (tip.a, tip.b) == PINNED_TIPS[HALF][:2]
+    assert undecided == [(FamilyParams(0.5, 1.0), 1)] * 2
+
+
 @pytest.mark.parametrize("frac", [Frac(1, 3), Frac(3, 8)])
 def test_cold_width_tip_on_the_critical_line_reads_corner_orbits(monkeypatch, frac):
     heights = []
