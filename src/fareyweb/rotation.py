@@ -17,7 +17,9 @@ number rho:
   g(x_i) - h <= g <= g(x_i + h) + h on each grid cell of width h, so one grid
   pass encloses both extrema of g (a first-order interval enclosure);
 * a corner orbit: above the critical line the lower bound L is flat on
-  [k_minus, k] and the upper bound U on [c, c_plus].  Let
+  [k_minus, k] and the upper bound U on [c, c_plus]; on it both corners are
+  the turning point 1/2 and both bounds are the map, so the test holds there
+  too (``_bound_sign``, which serves lock verdicts and width tips).  Let
   D_j = B^{jq}(x0) - x0 - jp, from x0 = k_minus for L and c_plus for U.
   Were g_L < 0 everywhere, every D_j would be, so D_j >= 0 gives
   max g_L >= 0; any orbit obeys |B^n(x) - x - n rho(B)| <= 1 (Rhodes &
@@ -189,24 +191,26 @@ def _corner(side: BoundSide, b: float) -> tuple[float, float, float]:
             else (lm.c_plus, -1.0, lm.c_plus - lm.c))
 
 
-def _corner_orbit(side: BoundSide, p: int, q: int, b: float, num: Config):
-    """The corner-orbit test (module docstring) at height b: a function of the
-    ``FamilyParams`` that returns D_j once it certifies a sign, else None after
-    (grid_base + grid_per_q * q) // STRIDE cycles, about a coarse grid pass, or
-    as soon as a cycle maps the orbit onto itself."""
+def _bound_sign(side: BoundSide, p: int, q: int, b: float, num: Config, band: float):
+    """max g_L (LOWER) or min g_U (UPPER) at b >= 1 as a function of the ``FamilyParams``:
+    -inf or +inf once the corner-orbit test (module docstring) certifies its sign,
+    else ``_disp_extremum``'s value with ``band``.  The orbit stops undecided after
+    (grid_base + grid_per_q * q) // STRIDE cycles, about a coarse grid pass, or as
+    soon as a cycle maps it onto itself."""
     x0, s, _ = _corner(side, b)
     cycles = (num.grid_base + num.grid_per_q * q) // STRIDE
+    which = "max" if side is BoundSide.LOWER else "min"
 
-    def test(params: FamilyParams) -> float | None:
+    def test(params: FamilyParams) -> float:
         y = x0
         for j in range(1, cycles + 1):
             y, last = SINE.iterate(params, side, y, q) - p, y  # near x0: p costs no bits
             if y == last:  # every later D_j is D_{j-1}, and the tie only widens
-                return None
+                break
             d, tie = y - x0, ROUND_BAND * j * (q + abs(p))
             if s * d > tie or s * d < -1.0 - tie:
-                return d
-        return None
+                return math.copysign(math.inf, d)
+        return _disp_extremum(params, side, p, q, which, SINE, num.grid, band=band)[0]
 
     return test
 
@@ -217,33 +221,24 @@ def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
 
     Locked means the lower bound still reaches x + p somewhere (its max
     displacement is >= 0) while the upper bound still dips to x + p (its min
-    is <= 0); ties at zero count as locked.  Above the critical line the two
-    corner orbits, lower first, decide almost every cell by certified signs.
-    Grid verdicts inside the band ``LOCK_BAND`` around zero are reported as
-    uncertain.  Up to the critical line both bounds are the map itself, and
-    one grid pass gives both extrema.
+    is <= 0); ties at zero count as locked.  Below the critical line both
+    bounds are the map itself, and one grid pass gives both extrema.  From
+    the critical line up ``_bound_sign`` reads each bound, lower first, from
+    its plateau-corner orbit, and runs a grid pass only for a bound whose
+    orbit decides nothing.  Grid verdicts inside the band ``LOCK_BAND``
+    around zero are reported as uncertain.
     """
     _check_cap(frac, num)
     p = frac.p + offset * frac.q
-    if params.b <= SINE.b_critical:
+    if params.b < SINE.b_critical:
         ext = _disp_extremum(params, BoundSide.RAW, p, frac.q, "both", SINE, num.grid,
                              band=LOCK_BAND)
         max_low, min_up = ext.maximum, ext.minimum
     else:
-        low = _corner_orbit(BoundSide.LOWER, p, frac.q, params.b, num)(params)
-        if low is not None and low < 0.0:  # rho(L) < p/q
-            return LockStatus("not_locked")
-        up = _corner_orbit(BoundSide.UPPER, p, frac.q, params.b, num)(params)
-        if up is not None and up > 0.0:  # rho(U) > p/q
-            return LockStatus("not_locked")
-        if low is not None and up is not None:
-            return LockStatus("locked", frac)
-        max_low, _ = _disp_extremum(params, BoundSide.LOWER, p, frac.q, "max", SINE,
-                                    num.grid, band=LOCK_BAND)
+        max_low = _bound_sign(BoundSide.LOWER, p, frac.q, params.b, num, LOCK_BAND)(params)
         if max_low <= -LOCK_BAND:  # the lower bound alone rules the lock out
             return LockStatus("not_locked")
-        min_up, _ = _disp_extremum(params, BoundSide.UPPER, p, frac.q, "min", SINE,
-                                   num.grid, band=LOCK_BAND)
+        min_up = _bound_sign(BoundSide.UPPER, p, frac.q, params.b, num, LOCK_BAND)(params)
     if max_low >= LOCK_BAND and min_up <= -LOCK_BAND:
         return LockStatus("locked", frac)
     if max_low <= -LOCK_BAND or min_up >= LOCK_BAND:

@@ -22,9 +22,10 @@ sign from the orbit of a plateau corner, where the extremum usually sits (on
 the critical line both corners are the turning point 1/2).  Both bounds are
 non-decreasing degree-one maps, so max g_L >= 0 iff rho(L) >= p/q and
 min g_U <= 0 iff rho(U) <= p/q, and the D_j test of the corner orbit
-certifies each sign (``rotation._corner_orbit``; the facts are in the
-``rotation`` module docstring).  A corner orbit that decides nothing within
-a grid's worth of cycles hands the sign to the displacement grid.
+certifies each sign (``rotation._bound_sign``, which ``lock_status`` also
+reads; the facts are in the ``rotation`` module docstring).  A corner orbit
+that decides nothing within a grid's worth of cycles hands the sign to the
+displacement grid.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .config import DEFAULT, Config, cached
 from .errors import ConsistencyError, TipNotFoundError
 from .farey import Frac
 from .lift import SINE, TWO_PI, BoundSide, FamilyParams
-from .rotation import _check_cap, _corner_orbit, _disp_extremum
+from .rotation import _bound_sign, _check_cap, _disp_extremum
 from .solvers import bisect_root, newton_root, root_order
 
 #: objective -> (map side, which extremum of the displacement must vanish)
@@ -111,19 +112,6 @@ def _objective(kind: str, frac: Frac, b: float, num: Config):
     def objective(a: float) -> tuple[float, float]:
         value, x = _disp_extremum(FamilyParams(a, b), side, p, q, which, SINE, grid, band=0.0)
         return value, SINE.iterate_slope(a, b, side, x, q)[1]
-
-    return objective
-
-
-def _orbit_objective(kind: str, frac: Frac, b: float, num: Config):
-    """The sign of ``_objective`` of psi1 or psi2 at b >= 1: the corner orbit's D_j
-    (``rotation._corner_orbit``), or the grid objective's value when it decides none."""
-    grid = _objective(kind, frac, b, num)
-    test = _corner_orbit(_OBJECTIVES[kind][0], frac.p, frac.q, b, num)
-
-    def objective(a: float) -> float:
-        d = test(FamilyParams(a, b))
-        return grid(a)[0] if d is None else d
 
     return objective
 
@@ -258,9 +246,14 @@ def tip_by_width(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> 
     """
     if frac.is_endpoint:
         raise ValueError(f"{frac} has no tip in the scanned range")
+    _check_cap(frac, num)
+
+    def sign(side: BoundSide, b: float):
+        test = _bound_sign(side, frac.p, frac.q, b, num, 0.0)
+        return lambda a: test(FamilyParams(a, b))
 
     def objectives(b: float):
-        return _orbit_objective("psi1", frac, b, num), _orbit_objective("psi2", frac, b, num)
+        return sign(BoundSide.LOWER, b), sign(BoundSide.UPPER, b)
 
     b_star, extras = _first_crossing(objectives, frac, num, full_scan, f"width tip of {frac}")
     psi1 = boundary("psi1", frac, b_star, num)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -250,34 +251,33 @@ def test_scan_lock_half_matches_section_edges():
 
 
 def test_lock_raster_cells_decide_on_corner_orbits(tmp_path, monkeypatch):
-    # each cell is lock_status at the echoed config; above the critical line
-    # the plateau-corner orbits decide the cells, and the grid runs only on the
-    # b = 1 row and for cells that a corner orbit leaves undecided
+    # each cell is lock_status at the echoed config; from the critical line up
+    # the plateau-corner orbits decide the cells, and the grid runs only for a
+    # bound whose corner orbit leaves it undecided, never for a certified one
     grid, undecided, cells = [], set(), []
-    extremum, corner, status = rotation._disp_extremum, rotation._corner_orbit, cli.lock_status
+    extremum, bound_sign, status = rotation._disp_extremum, rotation._bound_sign, cli.lock_status
 
-    def corner_logged(*args):
-        test = corner(*args)
+    def sign_logged(side, *args):
+        test = bound_sign(side, *args)
 
         def logged(params):
-            d = test(params)
-            if d is None:
-                undecided.add(params)
-            return d
+            v = test(params)
+            if not math.isinf(v):
+                undecided.add((params, side))
+            return v
 
         return logged
 
-    monkeypatch.setattr(rotation, "_disp_extremum", lambda params, *args, **kw:
-                        grid.append(params) or extremum(params, *args, **kw))
-    monkeypatch.setattr(rotation, "_corner_orbit", corner_logged)
+    monkeypatch.setattr(rotation, "_disp_extremum", lambda params, side, *args, **kw:
+                        grid.append((params, side)) or extremum(params, side, *args, **kw))
+    monkeypatch.setattr(rotation, "_bound_sign", sign_logged)
     monkeypatch.setattr(cli, "lock_status", lambda *args, **kw: cells.append(args[0]) or
                         status(*args, **kw))
     c, out = 1 / 3, tmp_path / "lock.csv"
     assert cli.main(["scan", "--a", f"{c - 0.1!r}:{c + 0.1!r}:16", "--b", "1:2:16",
                      "--mode", "lock:1/3", "--out", str(out)]) == 0
     assert len(cells) == 256
-    assert all(params.b <= SINE.b_critical or params in undecided for params in grid)
-    assert len({params for params in grid if params.b <= SINE.b_critical}) == 16
+    assert set(grid) == undecided and len(grid) == len(undecided)
     assert len(undecided) <= 0.05 * len(cells)
     monkeypatch.undo()
     value = {"locked": 1.0, "uncertain": 0.5, "not_locked": 0.0}
@@ -451,6 +451,11 @@ GOLDEN = [
      "134fa0339fd7c47c60be69b90f8b0e1f07ffb54e8aae19a4fffa4a0ea9415417"),
     (["scan", "--a", "0:0.5:4", "--b", "1.0:1.2:3", "--mode", "width", "--format", "pgm"],
      "34fca028e3d5c8cbd9656a4945048be658f775064fb39079a230e6c897078385"),
+    # the README's plane PGM, and a lock raster whose b = 1 row reads corner orbits
+    (["scan", "--a", "0:1:200", "--b", "1:2:200", "--mode", "width", "--format", "pgm"],
+     "752e79b8e980b450342de29f9ba8ebc5305bbfd8523f1d382cae426df5e89a99"),
+    (["scan", "--a", "0.3:0.45:64", "--b", "1:1.6:64", "--mode", "lock:3/8"],
+     "56483ada105af46e56831c30bacd61109ec1a82c065eb2ade2a1a2e2b203e18b"),
     # rows below, on and above the critical line, from a negative a
     (["scan", "--a=-0.5:1.5:24", "--b", "0:3:25", "--mode", "width"],
      "6f7e614dec23780824ff139118f1f6ee137041191379b495e4332622225d1975"),

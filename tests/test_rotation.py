@@ -365,9 +365,9 @@ def test_lock_status_one_pass_up_to_critical_line(monkeypatch):
 
 def test_lock_status_skips_the_upper_bound_when_the_lower_decides(monkeypatch):
     calls, grid = [], []
-    corner, extremum = rotation._corner_orbit, rotation._disp_extremum
-    monkeypatch.setattr(rotation, "_corner_orbit",
-                        lambda *args: calls.append(args) or corner(*args))
+    bound_sign, extremum = rotation._bound_sign, rotation._disp_extremum
+    monkeypatch.setattr(rotation, "_bound_sign",
+                        lambda *args: calls.append(args) or bound_sign(*args))
     monkeypatch.setattr(rotation, "_disp_extremum",
                         lambda *args, **kw: grid.append(args) or extremum(*args, **kw))
     assert lock_status(FamilyParams(0.2, 1.5), Frac(1, 2)).state == "not_locked"
@@ -444,7 +444,6 @@ def test_iterate_against_high_precision_reference():
     # the reduced-argument iteration tracks a 50-digit orbit to ~1e-10 over
     # a thousand steps for these mildly expanding parameters
     import mpmath
-    mpmath.mp.dps = 50
     rng = np.random.default_rng(17)
     for _ in range(10):
         a = float(rng.uniform(-0.5, 1.5))
@@ -452,11 +451,12 @@ def test_iterate_against_high_precision_reference():
         x0 = float(rng.uniform(0.0, 1.0))
         n = 1000
         got = SINE.iterate(FamilyParams(a, b), BoundSide.RAW, x0, n)
-        x = mpmath.mpf(x0)
-        amp = mpmath.mpf(b) / (2 * mpmath.pi)
-        for _ in range(n):
-            x = x + mpmath.mpf(a) + amp * mpmath.sin(2 * mpmath.pi * x)
-        assert abs(got - float(x)) < 1e-9
+        with mpmath.workdps(50):
+            x = mpmath.mpf(x0)
+            amp = mpmath.mpf(b) / (2 * mpmath.pi)
+            for _ in range(n):
+                x = x + mpmath.mpf(a) + amp * mpmath.sin(2 * mpmath.pi * x)
+            assert abs(got - float(x)) < 1e-9
 
 
 def test_fact4_containment_sampled():

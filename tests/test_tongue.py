@@ -378,14 +378,15 @@ def test_orbit_verdicts_against_long_reference_orbits(monkeypatch):
     roots = [(frac, b, kind, boundary(kind, frac, b))
              for frac, b in draws for kind in ("psi1", "psi2")]
     # a fallback would read the grid; NaN marks it so that only orbit verdicts count
-    monkeypatch.setattr(tongue, "_objective", lambda *args: lambda a: (math.nan, math.nan))
+    monkeypatch.setattr(rotation, "_disp_extremum", lambda *args, **kw: (math.nan, math.nan))
     cases = []
     for frac, b, kind, root in roots:
-        test = tongue._orbit_objective(kind, frac, b, DEFAULT)
+        test = rotation._bound_sign(tongue._OBJECTIVES[kind][0], frac.p, frac.q, b, DEFAULT, 0.0)
         for _ in range(6):
             a = root + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-9, math.log10(0.2))
-            cases.append((frac, b, kind, a, test(a), a > root))
+            cases.append((frac, b, kind, a, test(FamilyParams(a, b)), a > root))
     decided = [c for c in cases if not math.isnan(c[4])]
+    assert all(math.isinf(c[4]) for c in decided)  # a certified sign, not a magnitude
     # inside a tongue whose extremum left the corner the orbit decides nothing
     assert len(decided) >= 0.75 * len(cases)
     rho = _reference_rho([c[3] for c in decided], [c[1] for c in decided],
@@ -402,7 +403,7 @@ def test_orbit_verdicts_against_long_reference_orbits(monkeypatch):
             assert r <= frac.value + 2.0 / n, (frac, b, kind, a, v, r)
 
 
-def test_orbit_objective_decides_from_the_critical_line_up(monkeypatch):
+def test_bound_sign_decides_from_the_critical_line_up(monkeypatch):
     calls = []
     original = rotation._disp_extremum
 
@@ -410,14 +411,15 @@ def test_orbit_objective_decides_from_the_critical_line_up(monkeypatch):
         calls.append(1)
         return original(*args, **kw)
 
-    monkeypatch.setattr(tongue, "_disp_extremum", counted)
+    monkeypatch.setattr(rotation, "_disp_extremum", counted)
     for b in (1.0, 1.5):
         for kind in ("psi1", "psi2"):
-            orbit, grid = (make(kind, HALF, b, DEFAULT)
-                           for make in (tongue._orbit_objective, tongue._objective))
+            sign = rotation._bound_sign(tongue._OBJECTIVES[kind][0], HALF.p, HALF.q, b,
+                                        DEFAULT, 0.0)
+            grid = tongue._objective(kind, HALF, b, DEFAULT)
             for a in (0.4, 0.45, 0.5, 0.55, 0.6):
                 del calls[:]
-                v = orbit(a)
+                v = sign(FamilyParams(a, b))
                 made = len(calls)
                 assert (v >= 0.0) == (grid(a)[0] >= 0.0), (b, kind, a)
                 # on the critical line too the corner orbit decides, but for the
@@ -430,22 +432,25 @@ def test_undecided_corner_orbits_stop_once_they_repeat(monkeypatch):
     # the tongue on the critical line, where the corner 1/2 is a 2-cycle: the
     # first q-cycle maps the orbit onto itself, so it stops there instead of
     # running all (grid_base + grid_per_q * q) // STRIDE = 320 cycles
-    steps, undecided = [], []
-    iterate, corner = SINE.iterate, tongue._corner_orbit
+    steps, undecided, start = [], [], [0]
+    iterate, bound_sign, extremum = SINE.iterate, tongue._bound_sign, rotation._disp_extremum
     monkeypatch.setattr(SINE, "iterate", lambda *args: steps.append(args) or iterate(*args))
 
     def counted(*args):
-        test = corner(*args)
+        test = bound_sign(*args)
 
         def run(params):
-            start = len(steps)
-            d = test(params)
-            if d is None:
-                undecided.append((params, len(steps) - start))
-            return d
+            start[0] = len(steps)
+            return test(params)
         return run
 
-    monkeypatch.setattr(tongue, "_corner_orbit", counted)
+    def grid(params, *args, **kw):
+        # only an undecided corner orbit reaches the grid: log its map steps
+        undecided.append((params, len(steps) - start[0]))
+        return extremum(params, *args, **kw)
+
+    monkeypatch.setattr(tongue, "_bound_sign", counted)
+    monkeypatch.setattr(rotation, "_disp_extremum", grid)
     tip = tip_by_width.__wrapped__(HALF)  # bypasses the cache
     assert (tip.a, tip.b) == PINNED_TIPS[HALF][:2]
     assert undecided == [(FamilyParams(0.5, 1.0), 1)] * 2
@@ -460,7 +465,7 @@ def test_cold_width_tip_on_the_critical_line_reads_corner_orbits(monkeypatch, fr
         heights.append(args[0].b)
         return original(*args, **kw)
 
-    monkeypatch.setattr(tongue, "_disp_extremum", counted)
+    monkeypatch.setattr(rotation, "_disp_extremum", counted)
     tip = tip_by_width.__wrapped__(frac)  # bypasses the cache
     assert (tip.a, tip.b) == PINNED_TIPS[frac][:2]
     # the corner orbit decides every sign at b = 1 but one, inside the tongue,

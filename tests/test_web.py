@@ -182,8 +182,10 @@ def test_tip_methods_agree_at_a_tie():
 
 
 def test_tip_by_intersection_checks_the_cap_first():
-    with pytest.raises(ValueError, match="exceeds cap"):
-        tip_by_intersection(Frac(3, 8), Config(q_cap=5, b_ceiling=1.0 + 1e-9))
+    # so does the width search, which no longer calls a capped objective
+    for tip in (tip_by_intersection, tip_by_width):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            tip(Frac(3, 8), Config(q_cap=5, b_ceiling=1.0 + 1e-9))
 
 
 def test_twist_cycles_pair_inside_locking():
