@@ -239,7 +239,7 @@ def _cmd_scan(args, cfg: Config) -> int:
         vmax = float(data.max()) if mode == "width" else 1.0
         scale = vmax if vmax > 0 else 1.0
         pixels = np.round(np.clip(data / scale, 0.0, 1.0) * 65535).astype(">u2")
-        header = (f"P5\n{cfg.header()[2:]}\n# rows are b={b_lo!r}..{b_hi!r} "
+        header = (f"P5\n{cfg.header()}\n# rows are b={b_lo!r}..{b_hi!r} "
                   f"bottom-up, scale={scale!r}\n{nx} {ny}\n65535\n")
         payload = header.encode("ascii") + pixels.tobytes()
         if args.out is None:

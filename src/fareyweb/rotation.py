@@ -191,28 +191,23 @@ def _corner(side: BoundSide, b: float) -> tuple[float, float, float]:
             else (lm.c_plus, -1.0, lm.c_plus - lm.c))
 
 
-def _bound_sign(side: BoundSide, p: int, q: int, b: float, num: Config, band: float):
-    """max g_L (LOWER) or min g_U (UPPER) at b >= 1 as a function of the ``FamilyParams``:
-    -inf or +inf once the corner-orbit test (module docstring) certifies its sign,
-    else ``_disp_extremum``'s value with ``band``.  The orbit stops undecided after
-    (grid_base + grid_per_q * q) // STRIDE cycles, about a coarse grid pass, or as
-    soon as a cycle maps it onto itself."""
-    x0, s, _ = _corner(side, b)
-    cycles = (num.grid_base + num.grid_per_q * q) // STRIDE
+def _bound_sign(params: FamilyParams, side: BoundSide, p: int, q: int, num: Config,
+                band: float) -> float:
+    """max g_L (LOWER) or min g_U (UPPER) at b >= 1: -inf or +inf once the corner-orbit
+    test (module docstring) certifies its sign, else ``_disp_extremum``'s value with
+    ``band``.  The orbit stops undecided after (grid_base + grid_per_q * q) // STRIDE
+    cycles, about a coarse grid pass, or as soon as a cycle maps it onto itself."""
+    x0, s, _ = _corner(side, params.b)
+    y = x0
+    for j in range(1, (num.grid_base + num.grid_per_q * q) // STRIDE + 1):
+        y, last = SINE.iterate(params, side, y, q) - p, y  # near x0: p costs no bits
+        if y == last:  # every later D_j is D_{j-1}, and the tie only widens
+            break
+        d, tie = y - x0, ROUND_BAND * j * (q + abs(p))
+        if s * d > tie or s * d < -1.0 - tie:
+            return math.copysign(math.inf, d)
     which = "max" if side is BoundSide.LOWER else "min"
-
-    def test(params: FamilyParams) -> float:
-        y = x0
-        for j in range(1, cycles + 1):
-            y, last = SINE.iterate(params, side, y, q) - p, y  # near x0: p costs no bits
-            if y == last:  # every later D_j is D_{j-1}, and the tie only widens
-                break
-            d, tie = y - x0, ROUND_BAND * j * (q + abs(p))
-            if s * d > tie or s * d < -1.0 - tie:
-                return math.copysign(math.inf, d)
-        return _disp_extremum(params, side, p, q, which, SINE, num.grid, band=band)[0]
-
-    return test
+    return _disp_extremum(params, side, p, q, which, SINE, num.grid, band=band)[0]
 
 
 def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
@@ -235,10 +230,10 @@ def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
                              band=LOCK_BAND)
         max_low, min_up = ext.maximum, ext.minimum
     else:
-        max_low = _bound_sign(BoundSide.LOWER, p, frac.q, params.b, num, LOCK_BAND)(params)
+        max_low = _bound_sign(params, BoundSide.LOWER, p, frac.q, num, LOCK_BAND)
         if max_low <= -LOCK_BAND:  # the lower bound alone rules the lock out
             return LockStatus("not_locked")
-        min_up = _bound_sign(BoundSide.UPPER, p, frac.q, params.b, num, LOCK_BAND)(params)
+        min_up = _bound_sign(params, BoundSide.UPPER, p, frac.q, num, LOCK_BAND)
     if max_low >= LOCK_BAND and min_up <= -LOCK_BAND:
         return LockStatus("locked", frac)
     if max_low <= -LOCK_BAND or min_up >= LOCK_BAND:
@@ -282,10 +277,17 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config) -> Enclosure:
     the run may still take; so does a tie.  A tie that the sign test does
     not certify ends the descent by extending the orbit to n >= 2/rot_tol
     steps (within rot_max_iter): F^n(0) lies strictly between integers
-    p < p', so rho is in [p/n, p'/n], of width at most 2/n.
+    p < p', so rho is in [p/n, p'/n], of width at most 2/n.  F_{a+k} = F_a + k
+    for an integer k, so the walk runs on a - floor(a), where the orbit keeps
+    its low bits at any |a|, and each end p/q is reported as (p + kq)/q.
     """
+    shift = math.floor(params.a)
+    params = FamilyParams(params.a - shift, params.b)
     tried = set()
     state, n = (0.0, 0.0), 0
+
+    def ratio(p: int, q: int) -> float:
+        return (p + shift * q) / q
 
     def orbit(q: int) -> float:
         # F^q(0) for q >= n: the orbit of 0 runs on, never restarts
@@ -298,19 +300,19 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config) -> Enclosure:
             return None
         tried.add(node)
         hit = _try_snap(params, side, *node, num)
-        return None if hit is None else Enclosure(hit[0] / hit[1], hit[0] / hit[1], n,
-                                                  exact=hit)
+        return None if hit is None else Enclosure(ratio(*hit), ratio(*hit), n,
+                                                  exact=(hit[0] + shift * hit[1], hit[1]))
 
     def finish(lo, hi, tie=None) -> Enclosure:
         # a tie is the only candidate; otherwise the simplest rational in the
         # bracket, which is its endpoint of smaller q
         hit = snapped(tie or min(lo, hi, key=lambda node: node[1]))
         if hit or tie is None:
-            return hit or Enclosure(lo[0] / lo[1], hi[0] / hi[1], n)
+            return hit or Enclosure(ratio(*lo), ratio(*hi), n)
         v = orbit(max(n, min(math.ceil(2.0 / num.rot_tol), num.rot_max_iter)))
         band = ROUND_BAND * (n + abs(v))
-        return Enclosure(max(lo[0] / lo[1], (math.ceil(v - band) - 1) / n),
-                         min(hi[0] / hi[1], (math.floor(v + band) + 1) / n), n)
+        return Enclosure(max(ratio(*lo), ratio(math.ceil(v - band) - 1, n)),
+                         min(ratio(*hi), ratio(math.floor(v + band) + 1, n)), n)
 
     v = orbit(1)
     k = round(v)

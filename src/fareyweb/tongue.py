@@ -17,15 +17,17 @@ passes on average.
 
 A tip is the parameter point where the locking width psi2 - psi1 collapses to
 zero; the first collapse above the critical line is the top of the principal
-locking component.  From the critical line up the width search reads each
-sign from the orbit of a plateau corner, where the extremum usually sits (on
-the critical line both corners are the turning point 1/2).  Both bounds are
-non-decreasing degree-one maps, so max g_L >= 0 iff rho(L) >= p/q and
-min g_U <= 0 iff rho(U) <= p/q, and the D_j test of the corner orbit
-certifies each sign (``rotation._bound_sign``, which ``lock_status`` also
-reads; the facts are in the ``rotation`` module docstring).  A corner orbit
-that decides nothing within a grid's worth of cycles hands the sign to the
-displacement grid.
+locking component.  It is also where the two parent strands cross, so both
+tip methods are one search (``_tip``) that differ only in the pair of roots
+whose order they read at each height.  From the critical line up the width
+method reads each sign from the orbit of a plateau corner, where the extremum
+usually sits (on the critical line both corners are the turning point 1/2).
+Both bounds are non-decreasing degree-one maps, so max g_L >= 0 iff
+rho(L) >= p/q and min g_U <= 0 iff rho(U) <= p/q, and the D_j test of the
+corner orbit certifies each sign (``rotation._bound_sign``, which
+``lock_status`` also calls; the facts are in the ``rotation`` module
+docstring).  A corner orbit that decides nothing within a grid's worth of
+cycles hands the sign to the displacement grid.
 """
 
 from __future__ import annotations
@@ -192,17 +194,23 @@ def trace(frac: Frac, b_lo: float, b_hi: float, steps: int,
                   b_lo, b_hi, steps, 0.02)
 
 
-def _first_crossing(objectives, frac: Frac, num: Config, full_scan: bool,
-                    what: str) -> tuple[float, tuple[float, ...]]:
-    """Lowest b above the critical line where the two roots of ``objectives(b)`` meet.
+def _tip(frac: Frac, num: Config, full_scan: bool, method: str, objectives,
+         closing=None) -> Tip:
+    """The lowest b above the critical line where the two roots of ``objectives(b)`` meet.
 
     At each height ``root_order`` decides the sign of r1 - r2, starting from
     the a that decided the previous height with the change in b as its step.
     A coarse upward scan in steps of ``b_step`` finds the first turn of that
     sign from negative to non-negative, then bisection narrows it to
-    ``b_tol``.  Returns that b and, with ``full_scan``, the midpoints of the
-    further sign changes seen while scanning on to the ceiling.
+    ``b_tol``; ``full_scan`` scans on to the ceiling and records the midpoints
+    of any further sign changes.  psi1 and psi2 are solved only at the tip:
+    the residual is |psi2 - psi1|, and a is their mean unless ``closing(b)``
+    supplies it.
     """
+    if frac.is_endpoint:
+        raise ValueError(f"{frac} has no tip in the scanned range")
+    _check_cap(frac, num)
+    what = f"{method} tip of {frac}"
     last = [frac.value, None]  # the deciding a and the height it decided
 
     def f(b: float) -> float:
@@ -232,30 +240,24 @@ def _first_crossing(objectives, frac: Frac, num: Config, full_scan: bool,
         b_prev, f_prev = b, f_b
     if b_lo is None:
         raise TipNotFoundError(f"{what}: no sign change below b={num.b_ceiling}")
-    return bisect_root(f, b_lo, b_hi, num.b_tol, f_lo=f_lo, f_hi=f_hi), tuple(extras)
+    b_star = bisect_root(f, b_lo, b_hi, num.b_tol, f_lo=f_lo, f_hi=f_hi)
+    psi1 = boundary("psi1", frac, b_star, num)
+    psi2 = boundary("psi2", frac, b_star, num)
+    a = 0.5 * (psi1 + psi2) if closing is None else closing(b_star)
+    return Tip(frac, a, b_star, method, abs(psi2 - psi1), tuple(extras))
 
 
 @cached(maxsize=256)
 def tip_by_width(frac: Frac, num: Config = DEFAULT, full_scan: bool = False) -> Tip:
     """Lowest b above the critical line where the locking width reaches zero.
 
-    Each height is decided by the order of psi1 and psi2, read from
-    plateau-corner orbits from the critical line up; psi1 and psi2 are solved
-    only at the tip.  ``full_scan`` keeps scanning to the ceiling and records
-    any further sign changes (a connected principal component has none).
+    ``_tip`` on the order of psi1 and psi2, each height read from
+    plateau-corner orbits from the critical line up (``_bound_sign``).
+    ``full_scan`` keeps scanning to the ceiling and records any further sign
+    changes (a connected principal component has none).
     """
-    if frac.is_endpoint:
-        raise ValueError(f"{frac} has no tip in the scanned range")
-    _check_cap(frac, num)
-
     def sign(side: BoundSide, b: float):
-        test = _bound_sign(side, frac.p, frac.q, b, num, 0.0)
-        return lambda a: test(FamilyParams(a, b))
+        return lambda a: _bound_sign(FamilyParams(a, b), side, frac.p, frac.q, num, 0.0)
 
-    def objectives(b: float):
-        return sign(BoundSide.LOWER, b), sign(BoundSide.UPPER, b)
-
-    b_star, extras = _first_crossing(objectives, frac, num, full_scan, f"width tip of {frac}")
-    psi1 = boundary("psi1", frac, b_star, num)
-    psi2 = boundary("psi2", frac, b_star, num)
-    return Tip(frac, 0.5 * (psi1 + psi2), b_star, "width", abs(psi2 - psi1), extras)
+    return _tip(frac, num, full_scan, "width",
+                lambda b: (sign(BoundSide.LOWER, b), sign(BoundSide.UPPER, b)))

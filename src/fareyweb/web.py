@@ -24,7 +24,7 @@ from .config import DEFAULT, Config, cached
 from .lift import SINE, BoundSide, FamilyParams
 from .rotation import _check_cap, _disp_grid
 from .solvers import bisect_root, golden_max, golden_min, newton_root
-from .tongue import Tip, _default_bracket, _first_crossing, _sweep, boundary
+from .tongue import Tip, _default_bracket, _sweep, _tip
 
 #: circle-distance tolerance for the orbit-avoidance checks
 CONSTRAINT_TOL = 1e-9
@@ -286,27 +286,22 @@ def tip_by_intersection(frac: Frac, num: Config = DEFAULT, full_scan: bool = Fal
     """Tip located as the lowest crossing of the two parent strands.
 
     The right strand of the left parent and the left strand of the right
-    parent start apart on the critical line and cross at the tip.  Each height
-    is decided by the order of the two strand roots; the strand points are
-    solved only at the crossing.  The residual reported is the locking width
-    measured there, the same quantity the width method drives to zero, so the
-    two methods are directly comparable.
+    parent start apart on the critical line and cross at the tip.  ``_tip``
+    decides each height by the order of the two strand roots, and the strand
+    points are solved only at the crossing, whose mean is the reported a.
+    The residual is the locking width measured there, the same quantity the
+    width method drives to zero, so the two methods are directly comparable.
     """
-    if frac.is_endpoint:
-        raise ValueError(f"{frac} has no tip in the scanned range")
-    _check_cap(frac, num)
-    left, right = parents(frac)
-
+    # both read ``parents`` only once ``_tip`` has checked frac, which may be an endpoint
     def objectives(b: float):
+        left, right = parents(frac)
         return _strand_objective(left, "R", b), _strand_objective(right, "L", b)
 
-    b_star, extras = _first_crossing(objectives, frac, num, full_scan,
-                                     f"intersection tip of {frac}")
-    ra = _strand_root(left, "R", b_star, num)
-    la = _strand_root(right, "L", b_star, num)
-    psi1 = boundary("psi1", frac, b_star, num)
-    psi2 = boundary("psi2", frac, b_star, num)
-    return Tip(frac, 0.5 * (ra + la), b_star, "intersection", abs(psi2 - psi1), extras)
+    def closing(b: float) -> float:
+        left, right = parents(frac)
+        return 0.5 * (_strand_root(left, "R", b, num) + _strand_root(right, "L", b, num))
+
+    return _tip(frac, num, full_scan, "intersection", objectives, closing)
 
 
 def twist_cycles(params: FamilyParams, side: BoundSide, frac: Frac,

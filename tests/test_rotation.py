@@ -39,6 +39,19 @@ def test_rot_interval_translation_by_one():
     ri1 = rot_interval(FamilyParams(1.3, 1.6), Config(rot_tol=1e-4))
     assert abs(ri1.lower.lo - ri0.lower.lo - 1.0) < 1e-9
     assert abs(ri1.upper.hi - ri0.upper.hi - 1.0) < 1e-9
+    # F_{a+k} = F_a + k shifts rho by exactly k: the same descent, on a - k,
+    # serves any k, and only the rounding of the shifted ends grows with k
+    for num, b in ((Config(rot_tol=1e-4), 1.6), (DEFAULT, 0.5)):
+        for k in (10**7, 10**10):
+            a = k + 0.3
+            ri0 = rot_interval(FamilyParams(a - k, b), num)  # a - k is exact
+            rik = rot_interval(FamilyParams(a, b), num)
+            for e0, ek in ((ri0.lower, rik.lower), (ri0.upper, rik.upper)):
+                assert ek.iterations == e0.iterations
+                assert ek.exact == (e0.exact and (e0.exact[0] + k * e0.exact[1], e0.exact[1]))
+                assert abs(ek.lo - e0.lo - k) <= math.ulp(k) + 1e-9
+                assert abs(ek.hi - e0.hi - k) <= math.ulp(k) + 1e-9
+                assert ek.width <= num.rot_tol, (k, b, ek)
 
 
 def test_rot_interval_odd_symmetry():
@@ -372,7 +385,7 @@ def test_lock_status_skips_the_upper_bound_when_the_lower_decides(monkeypatch):
                         lambda *args, **kw: grid.append(args) or extremum(*args, **kw))
     assert lock_status(FamilyParams(0.2, 1.5), Frac(1, 2)).state == "not_locked"
     # the lower corner orbit rules the lock out, so no grid pass runs
-    assert [args[0] for args in calls] == [BoundSide.LOWER] and grid == []
+    assert [args[1] for args in calls] == [BoundSide.LOWER] and grid == []
     monkeypatch.undo()
     states = set()
     for frac in (Frac(1, 2), Frac(2, 5)):

@@ -17,6 +17,7 @@ from fareyweb.rotation import displacement_extrema
 from fareyweb.solvers import bisect_root
 from fareyweb.tongue import (boundary, locking_interval, section, tip_by_width,
                              trace)
+from fareyweb.web import tip_by_intersection
 
 HALF = Frac(1, 2)
 ZERO = Frac(0, 1)
@@ -125,13 +126,40 @@ def test_tip_width_collapses_across():
 
 
 def test_tip_rejects_endpoints():
-    with pytest.raises(ValueError):
-        tip_by_width(ZERO)
+    for tip in (tip_by_width, tip_by_intersection):
+        for frac in (ZERO, Frac(1, 1)):
+            with pytest.raises(ValueError, match="has no tip in the scanned range"):
+                tip(frac)
 
 
 def test_tip_not_found_below_ceiling():
-    with pytest.raises(TipNotFoundError):
-        tip_by_width(Frac(1, 3), Config(b_ceiling=1.05))
+    for tip in (tip_by_width, tip_by_intersection):
+        with pytest.raises(TipNotFoundError):
+            tip(Frac(1, 3), Config(b_ceiling=1.05))
+
+
+def test_tip_reports_later_crossings_as_extras():
+    # r1 - r2 = (b - 1.234)(b - 1.476)(b - 1.812), off the scan heights: below zero
+    # on the critical line, then three sign flips; the first upward one is the tip
+    def objectives(b):
+        gap = (b - 1.234) * (b - 1.476) * (b - 1.812)
+        return (lambda a: a - 0.5 - gap), (lambda a: a - 0.5)
+
+    num = Config(b_ceiling=2.0)
+    tip = tongue._tip(HALF, num, True, "width", objectives, closing=lambda b: 0.5)
+    assert abs(tip.b - 1.234) <= num.b_tol and tip.a == 0.5 and tip.method == "width"
+    assert len(tip.extra_crossings) == 2
+    for mid, flip in zip(tip.extra_crossings, (1.476, 1.812)):
+        assert abs(mid - flip) <= 0.5 * num.b_step + 1e-12
+    # without the full scan the search stops at the first flip
+    assert tongue._tip(HALF, num, False, "width", objectives).extra_crossings == ()
+
+
+def test_full_scan_leaves_the_half_tip_unchanged():
+    for search in (tip_by_width, tip_by_intersection):
+        full, plain = search(HALF, full_scan=True), search(HALF)
+        assert full.extra_crossings == ()
+        assert (full.a, full.b, full.residual) == (plain.a, plain.b, plain.residual)
 
 
 def test_left_edge_nondecreasing_in_fraction():
@@ -381,10 +409,11 @@ def test_orbit_verdicts_against_long_reference_orbits(monkeypatch):
     monkeypatch.setattr(rotation, "_disp_extremum", lambda *args, **kw: (math.nan, math.nan))
     cases = []
     for frac, b, kind, root in roots:
-        test = rotation._bound_sign(tongue._OBJECTIVES[kind][0], frac.p, frac.q, b, DEFAULT, 0.0)
+        side = tongue._OBJECTIVES[kind][0]
         for _ in range(6):
             a = root + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-9, math.log10(0.2))
-            cases.append((frac, b, kind, a, test(FamilyParams(a, b)), a > root))
+            v = rotation._bound_sign(FamilyParams(a, b), side, frac.p, frac.q, DEFAULT, 0.0)
+            cases.append((frac, b, kind, a, v, a > root))
     decided = [c for c in cases if not math.isnan(c[4])]
     assert all(math.isinf(c[4]) for c in decided)  # a certified sign, not a magnitude
     # inside a tongue whose extremum left the corner the orbit decides nothing
@@ -414,12 +443,11 @@ def test_bound_sign_decides_from_the_critical_line_up(monkeypatch):
     monkeypatch.setattr(rotation, "_disp_extremum", counted)
     for b in (1.0, 1.5):
         for kind in ("psi1", "psi2"):
-            sign = rotation._bound_sign(tongue._OBJECTIVES[kind][0], HALF.p, HALF.q, b,
-                                        DEFAULT, 0.0)
+            side = tongue._OBJECTIVES[kind][0]
             grid = tongue._objective(kind, HALF, b, DEFAULT)
             for a in (0.4, 0.45, 0.5, 0.55, 0.6):
                 del calls[:]
-                v = sign(FamilyParams(a, b))
+                v = rotation._bound_sign(FamilyParams(a, b), side, HALF.p, HALF.q, DEFAULT, 0.0)
                 made = len(calls)
                 assert (v >= 0.0) == (grid(a)[0] >= 0.0), (b, kind, a)
                 # on the critical line too the corner orbit decides, but for the
@@ -434,15 +462,14 @@ def test_undecided_corner_orbits_stop_once_they_repeat(monkeypatch):
     # running all (grid_base + grid_per_q * q) // STRIDE = 320 cycles
     steps, undecided, start = [], [], [0]
     iterate, bound_sign, extremum = SINE.iterate, tongue._bound_sign, rotation._disp_extremum
-    monkeypatch.setattr(SINE, "iterate", lambda *args: steps.append(args) or iterate(*args))
+    # patched on the class: undoing an instance patch would leave the bound
+    # method on SINE, where it hides the class attribute from later patches
+    monkeypatch.setattr(type(SINE), "iterate",
+                        lambda self, *args: steps.append(args) or iterate(*args))
 
     def counted(*args):
-        test = bound_sign(*args)
-
-        def run(params):
-            start[0] = len(steps)
-            return test(params)
-        return run
+        start[0] = len(steps)
+        return bound_sign(*args)
 
     def grid(params, *args, **kw):
         # only an undecided corner orbit reaches the grid: log its map steps
