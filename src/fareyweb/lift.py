@@ -25,9 +25,14 @@ from .solvers import newton_root
 
 TWO_PI = 2.0 * math.pi
 #: An array pass of more than this many steps retires orbits that repeat exactly,
-#: looking for repeats from this step on; a shorter one, such as a displacement
-#: grid up to q = 64, would pay for the search and save few steps.
+#: looking for repeats from this step on, and hands its last few live orbits to
+#: the scalar loop; a shorter one, such as a displacement grid up to q = 64,
+#: would pay for the search and save few steps.
 REPEAT_WINDOW = 64
+#: Once such a pass has retired orbits and at most this many are left, each
+#: finishes in ``advance``'s scalar loop: an array step over a few orbits costs
+#: some 25 scalar steps, but a handed-off orbit no longer retires when it repeats.
+SCALAR_TAIL = 4
 
 
 class BoundSide(enum.Enum):
@@ -114,9 +119,10 @@ class SineFamily:
     ``advance`` (``iterate`` from a start x, ``rotation`` from a stored orbit
     state) or in ``iterate_grid``, the one array pass, which matches it bit
     for bit (``iterate_array`` is that pass at one parameter pair).  An orbit
-    state is (t, carry), and t alone decides every later step, so an array
-    pass retires each orbit whose t repeats exactly and adds the carry of its
-    remaining whole periods in one product.
+    state is (t, carry), and t alone decides every later step, so a long
+    array pass retires each orbit whose t repeats exactly and adds the carry
+    of its remaining whole periods in one product; its last few live orbits
+    finish in ``advance``.
     ``iterate_slope`` is ``iterate``'s loop at float a and b with the
     a-derivative carried along, for the Newton solves on strands and tongue
     boundaries; it is a separate loop so that ``iterate`` carries no flag.
@@ -258,8 +264,11 @@ class SineFamily:
         W, 2W, 4W, ... (R. P. Brent, BIT 20, 1980); an element whose t meets
         its checkpoint after P steps with carry gain G retires at the first
         step j with (n - j) % P == 0 as (carry + (n - j) // P * G) + t; once a
-        quarter of the elements has retired, the others are compacted.  A pass
-        whose carries could reach 2^53 runs every step.
+        quarter of the elements has retired, the others are compacted.  Once an
+        element retires and at most ``SCALAR_TAIL`` are left, each of those
+        runs its last n - j steps in one ``advance`` call, the same arithmetic
+        in the same order, and the pass ends.  A pass whose carries could reach
+        2^53 runs every step.
         """
         if n < 1:
             raise ValueError("n must be positive")
@@ -315,7 +324,10 @@ class SineFamily:
                 due, gain = np.full(shape, np.inf), np.empty(shape)
                 idx, hit = np.arange(t.size).reshape(shape), np.empty(shape, dtype=bool)
                 out, dues, retired = np.empty(t.size), set(), 0
-            elif np.equal(t, ck_t, out=hit).any():
+                # every column an element carries, at full shape, so a mask selects from each
+                a, amp, lo_edge, hi_edge, flat = (np.broadcast_to(col, shape) for col in
+                                                  (a, amp, lo_edge, hi_edge, flat))
+            elif np.count_nonzero(np.equal(t, ck_t, out=hit)):
                 hit &= due == np.inf  # a retired orbit still steps until compacted
                 period = j - mark
                 end = j + (n - j) % period
@@ -327,10 +339,19 @@ class SineFamily:
                 out[idx[done]] = (carry[done] + gain[done]) + t[done]
                 due[done] = -1.0
                 retired += np.count_nonzero(done)
-            if 4 * retired >= t.size:  # compact once a quarter has retired, or none is left
+                if t.size - retired <= SCALAR_TAIL:  # the last few finish in ``advance``
+                    keep = due != -1.0
+                    b_of, side_of = (np.broadcast_to(col, shape).flat
+                                     for col in (b, side if sides is None else sides))
+                    for ak, k, tk, ck in zip(*(col[keep].tolist() for col in (a, idx, t, carry))):
+                        tk, ck = self.advance(FamilyParams(ak, float(b_of[k])), side_of[k],
+                                              (tk, ck), n - j)
+                        out[k] = ck + tk
+                    return out.reshape(shape)
+            if 4 * retired >= t.size:  # compact once a quarter has retired; an empty pass ends
                 keep = due != -1.0
                 (t, carry, a, amp, lo_edge, hi_edge, flat, ck_t, ck_carry, due, gain, idx) = (
-                    np.broadcast_to(col, keep.shape)[keep] for col in
+                    col[keep] for col in
                     (t, carry, a, amp, lo_edge, hi_edge, flat, ck_t, ck_carry, due, gain, idx))
                 v, step, on_flat, below, hit = (np.empty(t.size, dtype=dt)
                                                 for dt in (float, float, bool, bool, bool))

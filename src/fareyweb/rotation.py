@@ -10,7 +10,8 @@ number rho:
   reduced state repeats, as a locked bound's orbit does once it lands on
   the plateau, is exactly periodic from then on: a long ``iterate_grid``
   pass finds the repeat and adds the remaining whole periods at once, bit
-  for bit the full orbit;
+  for bit the full orbit, and runs its last few live orbits in the scalar
+  loop;
 * a Farey test: F^q(0) >= p implies rho >= p/q and F^q(0) <= p implies
   rho <= p/q; it reads a q-step prefix of the orbit of 0;
 * a cell bound: for non-decreasing F, g = F^q(x) - x - p obeys

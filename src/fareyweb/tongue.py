@@ -203,9 +203,11 @@ def _tip(frac: Frac, num: Config, full_scan: bool, method: str, objectives,
     A coarse upward scan in steps of ``b_step`` finds the first turn of that
     sign from negative to non-negative, then bisection narrows it to
     ``b_tol``; ``full_scan`` scans on to the ceiling and records the midpoints
-    of any further sign changes.  psi1 and psi2 are solved only at the tip:
-    the residual is |psi2 - psi1|, and a is their mean unless ``closing(b)``
-    supplies it.
+    of any further sign changes.  Roots that meet on a height (0.0) give no
+    sign of their own: from the tip on the sign is non-negative, and a later
+    change is bracketed by the nearest nonzero signs.  psi1 and psi2 are
+    solved only at the tip: the residual is |psi2 - psi1|, and a is their
+    mean unless ``closing(b)`` supplies it.
     """
     if frac.is_endpoint:
         raise ValueError(f"{frac} has no tip in the scanned range")
@@ -230,12 +232,16 @@ def _tip(frac: Frac, num: Config, full_scan: bool, method: str, objectives,
     b = b_prev
     while b < num.b_ceiling:
         b = min(b + num.b_step, num.b_ceiling)
-        f_b = f(b)  # a sign, so any change is a crossing and a rise is upward
-        if b_lo is None and f_b > f_prev:
-            b_lo, b_hi, f_lo, f_hi = b_prev, b, f_prev, f_b
-            if not full_scan:
-                break
-        elif b_lo is not None and f_b != f_prev:
+        f_b = f(b)  # a sign, so a rise is upward
+        if b_lo is None:
+            if f_b > f_prev:
+                b_lo, b_hi, f_lo, f_hi = b_prev, b, f_prev, f_b
+                if not full_scan:
+                    break
+                f_b = 1.0  # non-negative from the tip on
+        elif f_b == 0.0:  # roots that meet on a height: the crossing closes at the next sign
+            continue
+        elif f_b != f_prev:
             extras.append(0.5 * (b_prev + b))
         b_prev, f_prev = b, f_b
     if b_lo is None:

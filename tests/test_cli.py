@@ -458,6 +458,9 @@ GOLDEN = [
     # rows below, on and above the critical line, from a negative a
     (["scan", "--a=-0.5:1.5:24", "--b", "0:3:25", "--mode", "width"],
      "6f7e614dec23780824ff139118f1f6ee137041191379b495e4332622225d1975"),
+    # the orbits benchmark's raster shape: its last few live orbits run alone
+    (["scan", "--a", "0.255:1.1925:16", "--b", "1.0:2.0:16", "--mode", "width"],
+     "905608e7fed383cdd661370a3cb6839813582fa3d3d18fa6330f25f9c33c27e9"),
     (["verify", "--suite", "fact9_tangency", "--json"],
      "18f1a5c235de5c17734a725aac15e9f17e24006e8cf9f4b57366afe28fcc08ad"),
     (["construct", "--stages", "3", "--format", "svg"],

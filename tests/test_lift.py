@@ -316,6 +316,28 @@ def test_long_grid_passes_equal_scalar_iterate(n, count):
     assert 0 < sum(r is not None for r in repeats) < len(repeats)
 
 
+def test_last_live_orbits_finish_in_the_scalar_loop(monkeypatch):
+    # both bounds at four heights: the locked orbits repeat and retire, and once
+    # at most SCALAR_TAIL are left after a retirement, each runs its remaining
+    # steps in one ``advance`` call (patched on the class, which SINE shares)
+    a, b, sides, n = np.linspace(0.0, 1.0, 8, endpoint=False), \
+        np.array([1.2, 1.5, 1.8, 2.0])[:, None], SIDES[:2], 2000
+    calls, advance = [], lift.SineFamily.advance
+    monkeypatch.setattr(lift.SineFamily, "advance",
+                        lambda self, *args: calls.append(args) or advance(self, *args))
+    grid = SINE.iterate_grid(a, b, sides, 0.0, n)
+    monkeypatch.undo()
+    _assert_scalar(grid, a, b, sides, 0.0, n)
+    # the step at which the array pass retires each orbit, from its first repeat
+    ends = []
+    for s, i, j in np.ndindex(grid.shape):
+        r = _first_repeat(FamilyParams(float(a[j]), float(b[i, 0])), sides[s, 0, 0], 0.0, n)
+        ends.append(math.inf if r is None else r[0] + (n - r[0]) % r[1])
+    fire = min(e for e in ends if e < math.inf and sum(f > e for f in ends) <= lift.SCALAR_TAIL)
+    assert 0 < sum(e > fire for e in ends) == len(calls)
+    assert all(args[-1] == n - fire for args in calls)
+
+
 def test_retiring_on_the_last_step_and_on_whole_periods():
     # (a, b, side) -> (step, period) of the first repeat of the orbit of 0
     cases = {(0.33, 1.8, BoundSide.LOWER): (75, 11), (0.4, 2.5, BoundSide.LOWER): (87, 23),

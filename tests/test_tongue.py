@@ -155,6 +155,21 @@ def test_tip_reports_later_crossings_as_extras():
     assert tongue._tip(HALF, num, False, "width", objectives).extra_crossings == ()
 
 
+def test_roots_meeting_on_a_scan_height_are_one_crossing():
+    # the flips fall on the scan heights, where root_order reads the roots as
+    # equal (0.0): each is one crossing, not a change into 0.0 and another out
+    def objectives(b):
+        gap = (b - 1.23) * (b - 1.47) * (b - 1.81)
+        return (lambda a: a - 0.5 - gap), (lambda a: a - 0.5)
+
+    num = Config(b_ceiling=2.0)
+    tip = tongue._tip(HALF, num, True, "width", objectives, closing=lambda b: 0.5)
+    assert abs(tip.b - 1.23) <= num.b_step
+    assert len(tip.extra_crossings) == 2, tip.extra_crossings
+    for mid, flip in zip(tip.extra_crossings, (1.47, 1.81)):
+        assert abs(mid - flip) <= 0.5 * num.b_step, (mid, flip)
+
+
 def test_full_scan_leaves_the_half_tip_unchanged():
     for search in (tip_by_width, tip_by_intersection):
         full, plain = search(HALF, full_scan=True), search(HALF)
