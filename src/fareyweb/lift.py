@@ -122,7 +122,8 @@ class SineFamily:
     state is (t, carry), and t alone decides every later step, so a long
     array pass retires each orbit whose t repeats exactly and adds the carry
     of its remaining whole periods in one product; its last few live orbits
-    finish in ``advance``.
+    finish in ``advance``.  The scalar loops floor each step as the float
+    v // 1.0, which equals ``np.floor`` for every finite v and builds no int.
     ``iterate_slope`` is ``iterate``'s loop at float a and b with the
     a-derivative carried along, for the Newton solves on strands and tongue
     boundaries; it is a separate loop so that ``iterate`` carries no flag.
@@ -200,12 +201,13 @@ class SineFamily:
         lo_edge, hi_edge, top = ((math.inf, -math.inf, 0.0) if side is BoundSide.RAW
                                  or b <= self.b_critical else _plateau(side, b))
         flat = top + a + amp * math.sin(TWO_PI * top)
+        sin = math.sin
         for _ in range(n):
             if lo_edge <= t <= hi_edge:
                 v = flat
             else:
-                v = t + a + amp * math.sin(TWO_PI * t)
-            f = math.floor(v)
+                v = t + a + amp * sin(TWO_PI * t)
+            f = v // 1.0
             t = v - f
             carry += f
             if t >= 1.0:
@@ -229,14 +231,15 @@ class SineFamily:
                                  or b <= self.b_critical else _plateau(side, b))
         flat = top + a + amp * math.sin(TWO_PI * top)
         s = 0.0
+        sin, cos = math.sin, math.cos
         for _ in range(n):
             if lo_edge <= t <= hi_edge:
                 v, s = flat, 1.0
             else:
                 u = TWO_PI * t
-                v = t + a + amp * math.sin(u)
-                s = (1.0 + b * math.cos(u)) * s + 1.0
-            f = math.floor(v)
+                v = t + a + amp * sin(u)
+                s = (1.0 + b * cos(u)) * s + 1.0
+            f = v // 1.0
             t = v - f
             carry += f
             if t >= 1.0:

@@ -26,10 +26,10 @@ number rho:
   max g_L >= 0; any orbit obeys |B^n(x) - x - n rho(B)| <= 1 (Rhodes &
   Thompson, 1986), so D_j < -1 gives rho(L) < p/q.  Mirrored, D_j <= 0
   gives min g_U <= 0 and D_j > 1 gives rho(U) > p/q.  A tie band
-  ROUND_BAND * j * (q + |p|) covers the rounding of the jq steps.  L^q is
-  constant on the plateau, so g_L(k) = g_L(k_minus) - (k - k_minus), and
-  0 < g_L(k_minus) < k - k_minus beyond a margin is a strict straddle of
-  g_L from one q-step orbit; mirrored, so is -(c_plus - c) < g_U(c_plus) < 0.
+  ROUND_BAND * j * (q + |p|) covers the rounding of the jq steps;
+* a straddle: g(x1) > 0 > g(x2) beyond a margin shows that the continuous g
+  has a zero, a periodic orbit of type p/q, so rho = p/q (``_try_snap``,
+  which seeks x1 and x2 around the cycle the descent's orbit runs toward).
 
 The rotation interval of the family map runs from the rotation number of its
 lower monotone bound to that of its upper one.  ``rot_interval`` encloses each
@@ -37,7 +37,7 @@ by a Stern-Brocot descent of Farey tests, which ends on a pair of certified
 Farey neighbours p/q < p'/q' with 1/(q q') <= rot_tol.  The mediants it tests
 have growing q, so all its tests read one forward orbit of 0 as it runs.  An
 exact rational comes only from a strict two-sided sign test of the q-step
-displacement (``_try_snap``), which finds a periodic orbit of type p/q.
+displacement around the cycle the descent's orbit runs toward (``_try_snap``).
 """
 
 from __future__ import annotations
@@ -62,8 +62,13 @@ ROUND_BAND = 1e-13
 SNAP_RUN = 8
 #: A bounded extremum of a non-decreasing map first reads every STRIDE-th grid point.
 STRIDE = 16
-#: Cost of one grid point-step of ``_try_snap`` in scalar map steps (0.05-0.12
-#: measured for q >= 10 at the default grid).
+#: ``_try_snap`` estimates the cycle point after this many q-cycles in all...
+SETTLE = (0, 8, 32)
+#: ... and tries a straddle of each of these half-widths around each estimate.
+SNAP_EPS = (1e-9, 1e-7, 1e-5, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
+#: Cost of one grid point-step of the grid pass that ``_try_snap`` may fall
+#: back to, in scalar map steps (0.05-0.12 measured for q >= 10 at the
+#: default grid).
 GRID_STEP_COST = 0.1
 
 
@@ -184,12 +189,11 @@ def displacement_extrema(params: FamilyParams, side: BoundSide, frac: Frac,
     return _disp_extremum(params, side, p, frac.q, "both", SINE, num.grid)
 
 
-def _corner(side: BoundSide, b: float) -> tuple[float, float, float]:
-    """(x0, s, w) above the critical line: the corner whose orbit decides the bound,
-    the sign that turns its verdicts into the lower bound's, the plateau width."""
+def _corner(side: BoundSide, b: float) -> tuple[float, float]:
+    """(x0, s) above the critical line: the corner whose orbit decides the bound,
+    and the sign that turns its verdicts into the lower bound's."""
     lm = SINE.landmarks(b)
-    return ((lm.k_minus, 1.0, lm.k - lm.k_minus) if side is BoundSide.LOWER
-            else (lm.c_plus, -1.0, lm.c_plus - lm.c))
+    return (lm.k_minus, 1.0) if side is BoundSide.LOWER else (lm.c_plus, -1.0)
 
 
 def _bound_sign(params: FamilyParams, side: BoundSide, p: int, q: int, num: Config,
@@ -198,7 +202,7 @@ def _bound_sign(params: FamilyParams, side: BoundSide, p: int, q: int, num: Conf
     test (module docstring) certifies its sign, else ``_disp_extremum``'s value with
     ``band``.  The orbit stops undecided after (grid_base + grid_per_q * q) // STRIDE
     cycles, about a coarse grid pass, or as soon as a cycle maps it onto itself."""
-    x0, s, _ = _corner(side, params.b)
+    x0, s = _corner(side, params.b)
     y = x0
     for j in range(1, (num.grid_base + num.grid_per_q * q) // STRIDE + 1):
         y, last = SINE.iterate(params, side, y, q) - p, y  # near x0: p costs no bits
@@ -242,24 +246,36 @@ def lock_status(params: FamilyParams, frac: Frac, offset: int = 0,
     return LockStatus("uncertain", frac)
 
 
-def _try_snap(params: FamilyParams, side: BoundSide, p: int, q: int,
+def _try_snap(params: FamilyParams, side: BoundSide, p: int, q: int, t: float,
               num: Config) -> tuple[int, int] | None:
-    """(p, q) when rho = p/q is certified, else None.
+    """(p, q) when a strict sign straddle of g = F^q(x) - x - p certifies rho = p/q.
 
-    Requires a strict two-sided sign straddle of the q-step displacement: the
-    displacement then has a zero, a periodic orbit of type p/q, so a rational
-    is never reported on proximity alone.  Above the critical line one q-step
-    corner orbit (module docstring) is tried before the grid pass.
+    An orbit of rotation number p/q runs toward an attracting p/q cycle, so
+    the straddle is first sought there: from t, a point of the descent's
+    orbit, the test runs ``SETTLE`` cycles of G(y) = F^q(y) - p in all,
+    estimates the cycle point x* by Aitken's delta-squared from the last
+    three iterates after each, and tries g at x* -+ eps for each eps of
+    ``SNAP_EPS`` beyond the band 1e-12 + ``ROUND_BAND`` * (q + |p|); g has
+    period 1, so x* is taken mod 1, where the band covers its rounding.
+    That is at most 2 + 32 + 48 = 82 q-step orbits.  Only if they find no
+    straddle does a grid pass seek one, as for a lock just inside a tongue
+    edge, whose cycle the orbit has not reached or whose window lies
+    between two eps.
     """
-    margin = 1e-12
-    if params.b > SINE.b_critical:
-        x0, s, w = _corner(side, params.b)
-        d = s * (SINE.iterate(params, side, x0, q) - x0 - p)
-        edge = margin + ROUND_BAND * (q + abs(p))
-        if d >= edge and d - w <= -edge:
-            return p, q
-    ext = _disp_extremum(params, side, p, q, "both", SINE, num.grid, band=margin)
-    if ext.minimum <= -margin and ext.maximum >= margin:
+    edge = 1e-12 + ROUND_BAND * (q + abs(p))
+    ys = [t]
+    for settle in SETTLE:
+        while len(ys) < settle + 3:
+            ys.append(SINE.iterate(params, side, ys[-1], q) - p)
+        y0, y1, y2 = ys[-3:]
+        d2 = y2 - 2.0 * y1 + y0
+        x = (y2 - (y2 - y1) ** 2 / d2 if d2 else y2) % 1.0
+        for eps in SNAP_EPS:
+            g = [SINE.iterate(params, side, x + e, q) - (x + e) - p for e in (-eps, eps)]
+            if min(g) <= -edge and max(g) >= edge:
+                return p, q
+    ext = _disp_extremum(params, side, p, q, "both", SINE, num.grid, band=1e-12)
+    if ext.minimum <= -1e-12 and ext.maximum >= 1e-12:
         return p, q
     return None
 
@@ -274,8 +290,9 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config) -> Enclosure:
     mediant's q, and its length n is the map steps run (``iterations``).
     The descent stops at width rot_tol or before a mediant of q past
     rot_max_iter.  The SNAP_RUN-th consecutive move toward one node hands
-    that node to ``_try_snap`` when the grid pass is cheaper than the steps
-    the run may still take; so does a tie.  A tie that the sign test does
+    that node to ``_try_snap``, with the reduced state t of the orbit, when
+    the grid pass that the snap may fall back to is cheaper than the steps
+    the run may still take; so does a tie, and so does the end of the walk.  A tie that the sign test does
     not certify ends the descent by extending the orbit to n >= 2/rot_tol
     steps (within rot_max_iter): F^n(0) lies strictly between integers
     p < p', so rho is in [p/n, p'/n], of width at most 2/n.  F_{a+k} = F_a + k
@@ -300,7 +317,7 @@ def _descend(params: FamilyParams, side: BoundSide, num: Config) -> Enclosure:
         if node[1] > num.q_cap or node in tried:
             return None
         tried.add(node)
-        hit = _try_snap(params, side, *node, num)
+        hit = _try_snap(params, side, *node, state[0], num)
         return None if hit is None else Enclosure(ratio(*hit), ratio(*hit), n,
                                                   exact=(hit[0] + shift * hit[1], hit[1]))
 

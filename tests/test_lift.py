@@ -6,6 +6,8 @@ import pytest
 from fareyweb import lift
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams, _sine_landmarks
 
+import referee
+
 
 def g0(b, x):
     return x + b / TWO_PI * math.sin(TWO_PI * x)
@@ -83,27 +85,10 @@ def test_landmark_companions_and_ordering(b):
     assert abs(lm.c_plus - bisect_companion(b, g0(b, lm.c), lm.k, 1.0)) < 1e-10
 
 
-def mp_k_minus(b):
-    # k_minus by 200 bisections in 50-digit arithmetic
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(50):
-        b, two_pi = mpmath.mpf(b), 2 * mpmath.pi
-        c = mpmath.acos(-1 / b) / two_pi
-
-        def g(x):
-            return x + b / two_pi * mpmath.sin(two_pi * x)
-
-        gk, lo, hi = g(1 - c), mpmath.mpf(0), c
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if g(mid) < gk else (lo, mid)
-        return float((lo + hi) / 2)
-
-
 @pytest.mark.parametrize("b", [1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0])
 def test_landmarks_against_fifty_digits(b):
     lm = _sine_landmarks.__wrapped__(b)  # bypasses the cache
-    assert abs(lm.k_minus - mp_k_minus(b)) <= 1e-13
+    assert abs(lm.k_minus - float(referee.landmarks(b)[2])) <= 1e-13
     assert lm.c_plus == 1.0 - lm.k_minus  # g(1 - x) = 1 - g(x) and k = 1 - c
 
 
@@ -419,6 +404,24 @@ def test_advance_in_pieces_is_one_iterate():
             state = SINE.advance(params, side, state, hi - lo)
         want = SINE.iterate(params, side, x, n)
         assert repr(state[1] + state[0]) == repr(want), (params, side, x, n, cuts)
+
+
+def test_scalar_loops_floor_like_the_grid_pass():
+    # the scalar loops take floor(v) as the float v // 1.0, the grid pass as
+    # np.floor(v); both must agree where a float floor has edge cases
+    assert -1e-17 - (-1e-17 // 1.0) == 1.0  # t rounds up to 1.0 and wraps
+    cases = [(FamilyParams(-2e-17, 0.0), BoundSide.RAW, 1e-17),  # v = -1e-17
+             (FamilyParams(-0.0, 0.0), BoundSide.RAW, -0.0),  # v = -0.0
+             (FamilyParams(0.5, 0.0), BoundSide.RAW, 0.5),  # v = 1.0
+             (FamilyParams(1.0, 0.0), BoundSide.RAW, -3.0)]  # v = -2.0
+    cases += [(FamilyParams(a, 0.7 * k), side, x) for a in (1e15 + 0.25, -1e15 - 0.25)
+              for k in (1, 2) for side in BoundSide for x in (0.0, 0.3, -2.6)]
+    for params, side, x in cases:
+        for n in (1, 3, 70):
+            want = repr(float(SINE.iterate_grid(params.a, params.b, side, np.array([x]), n)[0]))
+            assert repr(SINE.iterate(params, side, x, n)) == want, (params, side, x, n)
+            value = SINE.iterate_slope(params.a, params.b, side, x, n)[0]
+            assert repr(value) == want, (params, side, x, n)
 
 
 def _plateau_edges(side, b):

@@ -1,5 +1,8 @@
 import math
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,10 @@ from fareyweb.farey import Frac
 from fareyweb.lift import SINE, TWO_PI, BoundSide, FamilyParams
 from fareyweb.rotation import (displacement_extrema, lock_status,
                                orbit_averages, rot_interval)
+
+import referee
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # perfbench
 
 
 def test_rho_fixed_point_family():
@@ -422,27 +429,156 @@ def test_corner_lock_verdicts_against_the_grid(monkeypatch, frac, a_lo, a_hi, b_
     assert sum(decided) >= 0.95 * len(cells)
 
 
-def test_corner_snaps_are_grid_straddles(monkeypatch):
-    # a grid pass that never certifies leaves only the corner test's snaps
+def test_orbit_snaps_are_grid_straddles(monkeypatch):
+    # a grid pass that never certifies leaves only the orbit test's snaps,
+    # each of which a direct grid pass must confirm
     extremum = rotation._disp_extremum
     monkeypatch.setattr(rotation, "_disp_extremum",
                         lambda *args, **kw: rotation.Extrema(0.0, 0.0, 0.0, 0.0))
     fracs = [Frac(p, q) for q in range(1, 6) for p in range(q + 1) if math.gcd(p, q) == 1]
-    snaps = [(params, side, frac)
-             for a in (0.0, 0.5, 1.0, 0.3, 0.62)
-             for b in (1.1, 1.3, 1.5, 1.7, 1.9)
-             for params in [FamilyParams(a, b)]
-             for side in (BoundSide.LOWER, BoundSide.UPPER)
-             for frac in fracs
-             if rotation._try_snap(params, side, frac.p, frac.q, DEFAULT)]
+    cases = [(FamilyParams(a, b), side) for a in (0.0, 0.5, 1.0, 0.3, 0.62)
+             for b in (0.4, 0.8, 1.1, 1.3, 1.5, 1.7, 1.9)
+             for side in (BoundSide.LOWER, BoundSide.UPPER)]
+    snaps = []
+    for params, side in cases:
+        t = SINE.advance(params, side, (0.0, 0.0), 16)[0]  # a point of the orbit of 0
+        snaps += [(params, side, frac) for frac in fracs
+                  if rotation._try_snap(params, side, frac.p, frac.q, t, DEFAULT)]
     monkeypatch.undo()
     # the centres of the 0/1, 1/2 and 1/1 locking intervals snap on both sides
     centres = {(params.a, params.b, side) for params, side, frac in snaps
                if frac.value == params.a}
-    assert len(centres) == 3 * 5 * 2
+    assert len(centres) == 3 * 7 * 2
     for params, side, frac in snaps:
         ext = extremum(params, side, frac.p, frac.q, "both", SINE, DEFAULT.grid)
         assert ext.minimum <= -1e-12 and ext.maximum >= 1e-12, (params, side, frac, ext)
+
+
+#: Locks whose cycle attracts weakly: two fixed points of multiplier about
+#: 0.97, certified only by the wider straddles after 32 cycles, and an 11/12
+#: cycle whose g > 0 only on a window of 1.6e-3 beside it.
+WEAK_LOCKS = {
+    (0.013246721495275615, 0.08825024849290952): (0, 1),
+    (0.00517282028089916, 0.03492538908360021): (0, 1),
+    (0.8520251502585062, 0.7752084820987564): (11, 12),
+}
+#: Locks just inside a tongue edge that the orbit test misses and the grid
+#: pass certifies: the orbit of 0 has not reached the cycle after 32 more
+#: cycles, or g < 0 only on a window between two eps.
+EDGE_LOCKS = {
+    (0.003317945203006545, 0.020853117460227888): (0, 1),
+    (0.9650416905801555, 0.22001073757838252): (1, 1),
+    (0.6306902631702648, 2.0329590488878626): (1, 2),
+    (0.2578874065451787, 0.46453279839348716): (1, 4),
+}
+
+
+def test_a_lock_below_the_critical_line_snaps_without_a_grid_pass(monkeypatch):
+    def no_grid(*args, **kw):
+        raise AssertionError("grid pass")
+
+    monkeypatch.setattr(rotation, "_disp_extremum", no_grid)
+    # each descent tries only the node it snaps; the 11/12 one fails at 1/1 first
+    fixed_points = [(point, exact) for point, exact in WEAK_LOCKS.items() if exact[1] == 1]
+    for (a, b), exact in [((0.05, 0.57), (0, 1)), ((0.34, 0.9), (1, 3)), *fixed_points]:
+        ri = rot_interval(FamilyParams(a, b))
+        assert ri.lower.exact == ri.upper.exact == exact, (a, b, ri)
+
+
+def test_the_grid_pass_certifies_what_the_orbit_test_misses():
+    for (a, b), exact in EDGE_LOCKS.items():
+        assert rot_interval(FamilyParams(a, b)).lower.exact == exact, (a, b)
+
+
+def _exact_points():
+    """300 points: b = 1 and b = 1 + 1e-9 (20 each), 130 below the critical line,
+    123 above it, then ``WEAK_LOCKS`` and ``EDGE_LOCKS``."""
+    rng = random.Random(11)
+    heights = ([1.0] * 20 + [1.0 + 1e-9] * 20 + [rng.uniform(0.0, 1.0) for _ in range(130)]
+               + [rng.uniform(1.0, 3.5) for _ in range(123)])
+    return ([(rng.uniform(-0.5, 1.5), b) for b in heights]
+            + list(WEAK_LOCKS) + list(EDGE_LOCKS))
+
+
+#: "lower upper" exact ends of rot_interval at the default configuration on
+#: ``_exact_points()``, "-" for none, recorded when the grid pass certified
+#: every snap.
+PINNED_EXACTS = """
+    -6/13 -6/13   - -   0/1 0/1   - -   -2/5 -2/5   94/117 94/117   - -   21/26 21/26
+    - -   1/1 1/1   - -   1/1 1/1   0/1 0/1   6/13 6/13   0/1 0/1   -1/2 -1/2
+    37/82 37/82   1/1 1/1   0/1 0/1   0/1 0/1   1/9 1/9   1/1 1/1   13/25 13/25   13/17 13/17
+    1/1 1/1   1/4 1/4   1/1 1/1   9/7 9/7   - -   4/3 4/3   1/1 1/1   - -
+    2/5 2/5   4/5 4/5   - -   - -   2/3 2/3   107/88 107/88   1/1 1/1   11/8 11/8
+    - -   - -   0/1 0/1   1/1 1/1   - -   - -   - -   0/1 0/1
+    - -   - -   - -   - -   - -   - -   - -   - -
+    1/8 1/8   - -   - -   - -   - -   - -   - -   - -
+    - -   - -   - -   - -   - -   - -   - -   - -
+    1/1 1/1   - -   - -   - -   1/2 1/2   - -   - -   0/1 0/1
+    - -   - -   1/1 1/1   - -   - -   - -   - -   - -
+    - -   - -   - -   - -   - -   - -   7/13 7/13   - -
+    - -   - -   1/2 1/2   - -   - -   - -   1/2 1/2   - -
+    - -   - -   - -   - -   - -   - -   - -   - -
+    - -   0/1 0/1   - -   - -   - -   - -   - -   - -
+    0/1 0/1   0/1 0/1   - -   4/3 4/3   - -   1/1 1/1   - -   - -
+    - -   1/1 1/1   - -   - -   - -   - -   1/1 1/1   - -
+    - -   0/1 0/1   - -   - -   - -   - -   - -   - -
+    - -   0/1 0/1   - -   - -   - -   - -   - -   - -
+    0/1 0/1   1/1 1/1   - -   - -   0/1 0/1   - -   - -   - -
+    - -   - -   - -   0/1 0/1   - -   0/1 0/1   - -   - -
+    - -   1/1 1/1   -2/11 -3/17   1/5 1/4   1/1 1/1   -4/5 0/1   0/1 0/1   1/1 1/1
+    1/1 3/2   7/5 3/2   -8/35 -5/22   1/2 1/2   1/1 1/1   1/2 1/2   1/1 1/1   0/1 0/1
+    -1/2 0/1   -1/4 -5/24   -1/2 -1/3   1/3 1/1   0/1 1/1   1/2 1/1   0/1 0/1   0/1 0/1
+    0/1 0/1   20/19 20/19   3/2 3/2   1/1 3/2   -1/2 0/1   -2/3 0/1   7/5 7/5   1/9 1/2
+    1/1 1/1   0/1 0/1   1/3 1/2   0/1 1/1   1/3 1/3   2/3 1/1   -2/3 -2/13   1/1 1/1
+    1/1 1/1   0/1 0/1   0/1 5/8   1/1 1/1   1/11 1/3   0/1 0/1   -1/4 0/1   1/6 1/1
+    -1/2 -1/3   1/1 3/2   1/1 1/1   1/1 1/1   1/1 7/6   1/1 1/1   0/1 2/5   3/5 1/1
+    1/2 1/2   5/4 5/3   1/1 1/1   0/1 0/1   1/1 3/2   1/1 1/1   1/1 1/1   1/1 1/1
+    0/1 1/3   1/1 3/2   6/5 6/5   1/1 1/1   1/1 1/1   1/1 1/1   0/1 1/3   1/1 1/1
+    -1/2 0/1   0/1 0/1   1/5 1/2   -1/1 0/1   0/1 0/1   36/43 67/80   7/8 1/1   0/1 0/1
+    4/3 7/5   1/1 1/1   0/1 1/3   1/1 1/1   13/25 6/7   1/4 1/1   0/1 1/4   4/3 5/3
+    1/1 1/1   1/1 1/1   1/1 1/1   1/1 13/7   -4/5 0/1   3/4 1/1   1/1 1/1   0/1 0/1
+    1/4 1/4   -1/2 -1/5   0/1 0/1   0/1 1/2   -1/2 0/1   0/1 0/1   7/6 17/13   3/5 2/3
+    1/2 5/8   11/8 3/2   2/3 2/3   3/2 3/2   4/5 1/1   1/1 1/1   -1/3 -2/9   1/2 1/1
+    1/1 1/1   -1/2 -1/4   4/3 4/3   -2/35 -7/124   0/1 3/4   0/1 0/1   1/4 5/7   2/3 1/1
+    -3/7 -4/13   1/1 3/2   1/3 1/3   1/2 1/2   2/3 1/1   0/1 0/1   0/1 0/1   11/12 11/12
+    0/1 0/1   1/1 1/1   1/2 4/5   1/4 1/4
+""".split()
+
+
+def test_exact_ends_pinned():
+    got = []
+    for a, b in _exact_points():
+        ri = rot_interval(FamilyParams(a, b))
+        got += ["-" if e.exact is None else f"{e.exact[0]}/{e.exact[1]}"
+                for e in (ri.lower, ri.upper)]
+    assert got == PINNED_EXACTS
+
+
+def _orbits_draws(seeds):
+    """The rot_interval points of the orbits benchmark workload of each seed."""
+    from perfbench import workloads
+    return [(op.key.a, op.key.b) for seed in seeds
+            for op in workloads.Orbits(random.Random(seed), Path("unused")).ops
+            if op.kind == "rot_interval"]
+
+
+def test_every_exact_end_is_a_fifty_digit_straddle():
+    # the referee finds its own pair of points where the 50-digit displacement
+    # of the bound takes both signs, so the bound has a periodic orbit p/q
+    cases = [(a, b, DEFAULT) for a, b in _orbits_draws(range(1, 6))]
+    cases += [(a, b, Config(rot_tol=tol, rot_max_iter=cap))
+              for a, b, tol, cap in PINNED_INTERVALS]
+    cases += [(a, b, DEFAULT) for a, b in [*WEAK_LOCKS, *EDGE_LOCKS]]
+    checked = 0
+    for a, b, num in cases:
+        ri = rot_interval(FamilyParams(a, b), num)
+        for side, enc in ((BoundSide.LOWER, ri.lower), (BoundSide.UPPER, ri.upper)):
+            if enc.exact is None or (side is BoundSide.UPPER and b <= 1.0):
+                continue
+            p, q = enc.exact
+            assert referee.straddle(a, b, side.value, p, q) is not None, (a, b, side, enc)
+            checked += 1
+    assert checked >= 60
 
 
 def test_lock_status_interval_matches_analytic_edges():
@@ -456,7 +592,6 @@ def test_lock_status_interval_matches_analytic_edges():
 def test_iterate_against_high_precision_reference():
     # the reduced-argument iteration tracks a 50-digit orbit to ~1e-10 over
     # a thousand steps for these mildly expanding parameters
-    import mpmath
     rng = np.random.default_rng(17)
     for _ in range(10):
         a = float(rng.uniform(-0.5, 1.5))
@@ -464,12 +599,7 @@ def test_iterate_against_high_precision_reference():
         x0 = float(rng.uniform(0.0, 1.0))
         n = 1000
         got = SINE.iterate(FamilyParams(a, b), BoundSide.RAW, x0, n)
-        with mpmath.workdps(50):
-            x = mpmath.mpf(x0)
-            amp = mpmath.mpf(b) / (2 * mpmath.pi)
-            for _ in range(n):
-                x = x + mpmath.mpf(a) + amp * mpmath.sin(2 * mpmath.pi * x)
-            assert abs(got - float(x)) < 1e-9
+        assert abs(got - float(referee.orbit(a, b, "raw", x0, n))) < 1e-9
 
 
 def test_fact4_containment_sampled():
